@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -106,7 +107,7 @@ def _compile_inputs(inputs, compile_cmd: str, work_dir: Path) -> list:
         if path.suffix.lower() == ".json":
             out.append(item)
             continue
-        command = compile_cmd.replace("{input}", str(path))
+        command = compile_cmd.replace("{input}", shlex.quote(str(path)))
         proc = subprocess.run(command, shell=True, capture_output=True,
                               text=True)
         if proc.returncode != 0:

@@ -56,11 +56,13 @@ def build_instruction_graph(cfg: FunctionCfg, fused: dict) -> InstructionGraph:
         for t in range(count - 1):
             edges_seq.append((first + t, first + t + 1))
     edges_cfg = []
+    seen = set()
     for edge in sorted(cfg.edges, key=lambda e: (e.src, e.dst, e.kind)):
         src_first, src_count = spans[edge.src]
         dst_first, _ = spans[edge.dst]
         pair = (src_first + src_count - 1, dst_first)
-        if pair not in edges_cfg:
+        if pair not in seen:
+            seen.add(pair)
             edges_cfg.append(pair)
     return InstructionGraph(features, tuple(spans), tuple(edges_cfg),
                             tuple(edges_seq))

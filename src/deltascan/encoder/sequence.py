@@ -4,6 +4,12 @@ The encoder is a 6-layer multi-head attention stack whose softmax kernel is
 approximated with positive orthogonal random features (linear attention),
 plus position-wise feed-forward blocks, residual connections, and layer
 normalization. Masked (padding) positions neither attend nor contribute.
+
+Attention never forms the (L, L) matrix. Per layer and head it computes
+the logits q.omega^T and k.omega^T as batched matmuls, turns each logits
+buffer in place into its positive features
+exp(w.x - |x|^2/2 - C) / sqrt(m), then takes phi_q (phi_k^T v) over
+phi_q (phi_k^T 1), again as matmuls.
 """
 
 from __future__ import annotations
@@ -52,17 +58,6 @@ def _layer_norm(x, gain, bias):
     return ((x - mean) / np.sqrt(var + _LN_EPS)) * gain + bias
 
 
-def _positive_features(centered, stabilizer):
-    """exp(w.x - |x|^2/2 - C) / sqrt(m); centered (..., L, m).
-
-    Masked positions arrive pre-set to a large negative value, so they
-    underflow to exactly zero here.
-    """
-    m = centered.shape[-1]
-    return np.exp((centered - stabilizer).astype(np.float32)) / \
-        np.float32(np.sqrt(m))
-
-
 def _attention_layer(x, mask, layer, heads):
     n, length, d = x.shape
     head_dim = d // heads
@@ -75,29 +70,34 @@ def _attention_layer(x, mask, layer, heads):
     k = split(layer["wk"]) * scale
     v = split(layer["wv"])
 
-    omega = layer["omega"]  # (h, m_feat, dh)
-    logits_q = np.einsum("nhld,hmd->nhlm", q, omega)
-    logits_k = np.einsum("nhld,hmd->nhlm", k, omega)
-    sq_q = 0.5 * (q * q).sum(-1)
-    sq_k = 0.5 * (k * k).sum(-1)
+    # phi_q, phi_k start as the logits w.x and become the features in place,
+    # so only these two (n, h, L, m) arrays are alive at once
+    omega_t = layer["omega"].transpose(0, 2, 1)  # (h, dh, m)
+    phi_q = q @ omega_t
+    phi_k = k @ omega_t
+    padded = ~mask
+    for phi, proj in ((phi_q, q), (phi_k, k)):
+        phi -= 0.5 * (proj * proj).sum(-1)[..., None]
+        # indexing an (n, L, h, m) view writes the padded rows only
+        phi.transpose(0, 2, 1, 3)[padded] = np.float32(-1e30)
 
     # shared stabilizer per (sequence, head), over unmasked positions only
-    valid = mask[:, None, :, None]  # (n, 1, L, 1)
-    neg_inf = np.float32(-1e30)
-    cand_q = np.where(valid, logits_q - sq_q[..., None], neg_inf)
-    cand_k = np.where(valid, logits_k - sq_k[..., None], neg_inf)
-    stabilizer = np.maximum(cand_q.max(axis=(2, 3)), cand_k.max(axis=(2, 3)))
+    stabilizer = np.maximum(phi_q.max(axis=(2, 3)), phi_k.max(axis=(2, 3)))
     # fully-masked sequences: no valid positions, keep exp() in range
-    stabilizer = np.where(stabilizer < np.float32(-1e29), np.float32(0.0),
-                          stabilizer)[:, :, None, None]
+    stabilizer[stabilizer < np.float32(-1e29)] = 0.0
+    stabilizer = stabilizer[:, :, None, None]
 
-    phi_q = _positive_features(cand_q, stabilizer)
-    phi_k = _positive_features(cand_k, stabilizer)
+    # exp(w.x - |x|^2/2 - C) / sqrt(m); padded positions underflow to zero
+    root_m = np.float32(np.sqrt(phi_q.shape[-1]))
+    for phi in (phi_q, phi_k):
+        phi -= stabilizer
+        np.exp(phi, out=phi)
+        phi /= root_m
 
-    kv = np.einsum("nhlm,nhld->nhmd", phi_k, v)
-    z = phi_k.sum(axis=2)  # (n, h, m)
-    numer = np.einsum("nhlm,nhmd->nhld", phi_q, kv)
-    denom = np.einsum("nhlm,nhm->nhl", phi_q, z)[..., None] + _EPS
+    kv = phi_k.transpose(0, 1, 3, 2) @ v  # (n, h, m, dh)
+    z = phi_k.sum(axis=2)[..., None]  # (n, h, m, 1)
+    numer = phi_q @ kv
+    denom = phi_q @ z + _EPS
     out = (numer / denom).transpose(0, 2, 1, 3).reshape(n, length, d)
     return out @ layer["wo"]
 
@@ -136,20 +136,3 @@ def encode_sequences(batch, params: EncoderParams,
     out[:, :work_len, :] = x
     return out
 
-
-def approx_attention(q: np.ndarray, k: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Explicit random-feature attention matrix for one head (test hook).
-
-    q, k: (L, head_dim) already projected; omega: (m_feat, head_dim).
-    Returns the row-normalized (L, L) matrix the linear path factorizes.
-    """
-    scale = np.float32(q.shape[-1] ** -0.25)
-    q = q * scale
-    k = k * scale
-    lq = q @ omega.T - 0.5 * (q * q).sum(-1, keepdims=True)
-    lk = k @ omega.T - 0.5 * (k * k).sum(-1, keepdims=True)
-    stab = max(lq.max(), lk.max())
-    phi_q = np.exp(lq - stab)
-    phi_k = np.exp(lk - stab)
-    scores = phi_q @ phi_k.T
-    return scores / (scores.sum(axis=1, keepdims=True) + 1e-30)

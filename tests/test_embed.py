@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from deltascan.cfg import analyze_contract, extract_paths
-from deltascan.encoder import embed_function
+from deltascan.encoder import embed_function, sequence
 from deltascan.encoder.params import init_params
 from deltascan.errors import EmptyFunction
 from fixtures import build_contract, setter_body, vulnerable_mint_body
+from oracles.attention_ref import attention_layer
 
 
 def _embed(code, vocab, params, config, **kwargs):
@@ -115,3 +116,15 @@ def test_embedding_independent_of_other_functions(small_vocab, params, config):
     assert len(a.block_vectors) == len(b.block_vectors)
     for va, vb in zip(a.block_vectors, b.block_vectors):
         assert va.tobytes() == vb.tobytes()
+
+
+def test_block_vectors_match_einsum_oracle(small_vocab, params, config,
+                                           monkeypatch):
+    """Encoder rewrites keep block vectors within 1e-5 of the reference."""
+    code = build_contract([("approve(address,uint256)", setter_body(1))])
+    fn, emb = _embed(code, small_vocab, params, config)
+    monkeypatch.setattr(sequence, "_attention_layer", attention_layer)
+    _, ref = _embed(code, small_vocab, params, config)
+    assert len(emb.block_vectors) == len(fn.blocks) > 1
+    for a, b in zip(emb.block_vectors, ref.block_vectors):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-5)

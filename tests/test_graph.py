@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from deltascan.cfg import analyze_contract, extract_paths
+from deltascan.cfg import Edge, analyze_contract, extract_paths
 from deltascan.encoder import (build_instruction_graph, encode_graph,
                                fuse_block, pool_block, InstructionGraph)
 from deltascan.errors import DimensionMismatch
@@ -151,3 +153,23 @@ def test_fused_rows_must_match_instr_count(config):
     fused[first] = fused[first][:-1]
     with pytest.raises(DimensionMismatch):
         build_instruction_graph(fn, fused)
+
+
+def test_duplicate_cfg_edges_keep_first_occurrence_order(config):
+    fn = _single_function(build_contract([
+        ("setApprovalForAll(address,bool)", setter_body(3))]))
+    # the same block pair under a second kind, plus a dynamic copy
+    extra = {Edge(e.src, e.dst, "jump_taken", dynamic=True) for e in fn.edges}
+    extra |= {Edge(e.src, e.dst, "fallthrough") for e in fn.edges}
+    dup = dataclasses.replace(fn, edges=frozenset(fn.edges | extra))
+    graph = build_instruction_graph(dup, _fused_for(dup, config))
+    expected = []
+    for edge in sorted(dup.edges, key=lambda e: (e.src, e.dst, e.kind)):
+        first, count = graph.block_spans[edge.src]
+        pair = (first + count - 1, graph.block_spans[edge.dst][0])
+        if pair not in expected:
+            expected.append(pair)
+    assert len(dup.edges) > len(expected)
+    assert graph.edges_cfg == tuple(expected)
+    plain = build_instruction_graph(fn, _fused_for(fn, config))
+    assert graph.edges_cfg == plain.edges_cfg

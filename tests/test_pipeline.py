@@ -1,10 +1,12 @@
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import deltascan.pipeline as pipeline
-from deltascan.cli import main, parse_config_file
+from deltascan.cli import _compile_inputs, main, parse_config_file
 from deltascan.errors import DeltascanError
 from deltascan.pipeline import (PipelineConfig, cmd_ablate, cmd_detect,
                                 cmd_embed, read_bytecode_file)
@@ -297,3 +299,15 @@ def test_cli_fetch_requires_api_url(capsys):
 def test_cli_missing_file_is_error(tmp_path, capsys):
     assert main(["disasm", str(tmp_path / "nope.bin")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_compile_cmd_quotes_input_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "dir with space" / "a b;touch pwned.sol"
+    source.parent.mkdir()
+    source.write_text("0x600160020100")
+    echo = "import sys; print(open(sys.argv[1]).read())"
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(echo)} {{input}}"
+    (out,) = _compile_inputs([str(source)], cmd, tmp_path / "compiled")
+    assert Path(out).read_bytes() == bytes.fromhex("600160020100")
+    assert not (tmp_path / "pwned.sol").exists()

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from deltascan.encoder import (EmbeddingConfig, embed_path, encode_sequences,
-                               PathEmbedding)
+                               PathEmbedding, sequence)
 from deltascan.encoder.params import init_params
-from deltascan.encoder.sequence import approx_attention
 from deltascan.errors import DimensionMismatch
+from oracles.attention_ref import approx_attention, attention_layer
 
 
 def test_embed_path_shape_and_padding(small_vocab, config):
@@ -121,3 +121,43 @@ def test_attention_correlates_with_exact_softmax(params, config):
         r = np.corrcoef(approx.ravel(), exact.ravel())[0, 1]
         rs.append(r)
     assert float(np.mean(rs)) >= 0.9
+
+
+def _random_path(rng, config, valid_len, magnitude=1.0):
+    matrix = np.zeros((config.m_max, config.word_dim), dtype=np.float32)
+    matrix[:valid_len] = magnitude * rng.standard_normal(
+        (valid_len, config.word_dim))
+    return PathEmbedding(0, matrix, valid_len,
+                         np.arange(config.m_max) < valid_len, False)
+
+
+@pytest.mark.parametrize("lengths, magnitude", [
+    ([3, 17, 1, 40, 9], 1.0),
+    ([0, 12, 5], 1.0),
+    ([512], 1.0),
+    # 1e10: the length a diverged vocabulary gives its word vectors
+    ([4, 30, 11], 1e10),
+], ids=["ragged", "fully-masked", "m_max-long", "diverged-scale"])
+def test_encode_matches_einsum_oracle(lengths, magnitude, params, config,
+                                      monkeypatch):
+    """The matmul attention stays within 1e-5 of the einsum reference."""
+    rng = np.random.default_rng(0)
+    batch = [_random_path(rng, config, n, magnitude) for n in lengths]
+    out = encode_sequences(batch, params, config)
+    monkeypatch.setattr(sequence, "_attention_layer", attention_layer)
+    expected = encode_sequences(batch, params, config)
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-5)
+
+
+def test_attention_layer_is_zero_on_padded_rows(params, config):
+    """Padded rows, including a fully padded sequence, leave the layer as
+    exact zeros, as in the reference."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 8, config.seq_dim)).astype(np.float32)
+    mask = np.arange(8)[None, :] < np.array([[0], [5]])
+    layer = params.seq_layers[0]
+    out = sequence._attention_layer(x, mask, layer, config.seq_heads)
+    ref = attention_layer(x, mask, layer, config.seq_heads)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5)
+    assert not out[0].any() and not out[1, 5:].any()
