@@ -202,18 +202,22 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
     by_offset = {b.start_offset: b.block_id for b in blocks}
     succ = _successors(edges)
 
-    # dispatcher spine: the chain of selector-miss continuations from block 0
+    # dispatcher spine: the chain of selector-miss continuations from block 0.
+    # A guard (a JUMPI without a selector check whose miss reverts, such as
+    # solc's CALLVALUE check) continues at its jump target instead.
     spine, seen = [], set()
     cursor = 0
     while cursor is not None and cursor not in seen:
         seen.add(cursor)
         spine.append(cursor)
-        nxt = None
-        for e in edges:
-            if e.src == cursor and e.kind in ("jumpi_false", "fallthrough"):
-                nxt = e.dst
-                break
-        cursor = nxt
+        out = {e.kind: e for e in edges if e.src == cursor and not e.dynamic}
+        nxt = out.get("jumpi_false") or out.get("fallthrough")
+        taken = out.get("jumpi_true")
+        if (nxt is not None and taken is not None
+                and blocks[nxt.dst].terminator_kind == "revert"
+                and not _find_selector_patterns(blocks[cursor])):
+            nxt = taken
+        cursor = nxt.dst if nxt is not None else None
 
     selector_entries: dict = {}
     for bid in spine:

@@ -9,6 +9,7 @@ command line > config file > environment > defaults.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -99,7 +100,9 @@ def _load_code(args) -> bytes:
 def _compile_inputs(inputs, compile_cmd: str, work_dir: Path) -> list:
     """Run an external compile command per non-report input; the command's
     stdout must be hex runtime bytecode. `{input}` in the command is replaced
-    with the source path."""
+    with the source path. Each output goes to `<hash>/<stem>.bin`, keyed by
+    the resolved source path, so sources sharing a stem stay apart and keep
+    the stem that report mapping matches contracts by."""
     work_dir.mkdir(parents=True, exist_ok=True)
     out = []
     for item in inputs:
@@ -113,7 +116,9 @@ def _compile_inputs(inputs, compile_cmd: str, work_dir: Path) -> list:
         if proc.returncode != 0:
             raise DeltascanError(
                 f"compile command failed for {path}: {proc.stderr.strip()}")
-        target = work_dir / (path.stem + ".bin")
+        key = hashlib.sha256(str(path.resolve()).encode()).hexdigest()[:16]
+        target = work_dir / key / (path.stem + ".bin")
+        target.parent.mkdir(exist_ok=True)
         target.write_bytes(parse_hex_input(proc.stdout.strip()))
         out.append(str(target))
     return out

@@ -48,8 +48,16 @@ def embed_function(cfg: FunctionCfg, paths, vocab: Vocabulary,
                    params: EncoderParams,
                    config: EmbeddingConfig | None = None,
                    use_sequence: bool = True,
-                   use_graph: bool = True) -> FunctionEmbedding:
-    """Embed one function into per-block vectors."""
+                   use_graph: bool = True,
+                   encoded: dict | None = None) -> FunctionEmbedding:
+    """Embed one function into per-block vectors.
+
+    ``encoded`` maps a path's token tuple to its encoded rows (valid_len of
+    them) and its truncated flag. Only paths missing from it are encoded, once each, and
+    then added, so one dict passed to every function of a contract encodes
+    each distinct path of the contract once. The dict is only valid for the
+    vocab, params and config it was filled with.
+    """
     config = config or params.config
     if not cfg.blocks:
         raise EmptyFunction(f"function {cfg.function_id} has no blocks")
@@ -63,23 +71,24 @@ def embed_function(cfg: FunctionCfg, paths, vocab: Vocabulary,
     occurrences = {b.block_id: [] for b in cfg.blocks}
 
     if use_sequence:
-        path_embeddings = []
-        for i, path in enumerate(paths):
-            tokens = [t for bid in path.blocks
-                      for t in _block_tokens(cfg.blocks[bid])]
-            pe = embed_path(tokens, vocab, config, path_index=i)
-            if pe.truncated:
-                truncated += 1
-            path_embeddings.append(pe)
-        if path_embeddings:
-            encoded = encode_sequences(path_embeddings, params, config)
-        for i, path in enumerate(paths):
-            valid = path_embeddings[i].valid_len
+        encoded = {} if encoded is None else encoded
+        keys = [tuple(t for bid in path.blocks
+                      for t in _block_tokens(cfg.blocks[bid]))
+                for path in paths]
+        misses = list(dict.fromkeys(k for k in keys if k not in encoded))
+        if misses:
+            batch = [embed_path(list(k), vocab, config, path_index=i)
+                     for i, k in enumerate(misses)]
+            out = encode_sequences(batch, params, config)
+            for key, pe, rows in zip(misses, batch, out):
+                encoded[key] = (rows[:pe.valid_len].copy(), pe.truncated)
+        for key, path in zip(keys, paths):
+            rows, cut = encoded[key]
+            truncated += cut
             for bid, start in zip(path.blocks, path.start_positions):
                 count = cfg.blocks[bid].instr_count
-                if start + count <= valid:  # drop occurrences cut by m_max
-                    occurrences[bid].append(
-                        (encoded[i, start:start + count, :], start))
+                if start + count <= len(rows):  # drop occurrences cut by m_max
+                    occurrences[bid].append((rows[start:start + count], start))
     else:
         # fuse projected raw word embeddings at each path occurrence
         for path in paths:

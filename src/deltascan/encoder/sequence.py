@@ -3,13 +3,19 @@
 The encoder is a 6-layer multi-head attention stack whose softmax kernel is
 approximated with positive orthogonal random features (linear attention),
 plus position-wise feed-forward blocks, residual connections, and layer
-normalization. Masked (padding) positions neither attend nor contribute.
+normalization.
 
-Attention never forms the (L, L) matrix. Per layer and head it computes
-the logits q.omega^T and k.omega^T as batched matmuls, turns each logits
-buffer in place into its positive features
-exp(w.x - |x|^2/2 - C) / sqrt(m), then takes phi_q (phi_k^T v) over
-phi_q (phi_k^T 1), again as matmuls.
+A batch is encoded packed: the valid rows of its paths are laid end to end
+in one (T, d) array, with no padding, and each path is a segment of it.
+The projections, layer norms and feed-forward blocks run per row on the
+whole pack. Attention never forms the (L, L) matrix: per layer and head it
+computes the logits q.omega^T and k.omega^T for the pack as matmuls, then
+per segment turns them in place into the positive features
+exp(w.x - |x|^2/2 - C), C the maximum over the segment, and takes
+phi_q (phi_k^T v) over phi_q (phi_k^T 1) + eps, again as matmuls (the
+features' usual 1/sqrt(m) factor cancels in the ratio and scales eps
+instead). A path's encoding depends on its own rows only, bit for bit, so
+it is the same in any batch.
 """
 
 from __future__ import annotations
@@ -58,81 +64,94 @@ def _layer_norm(x, gain, bias):
     return ((x - mean) / np.sqrt(var + _LN_EPS)) * gain + bias
 
 
-def _attention_layer(x, mask, layer, heads):
-    n, length, d = x.shape
+def _attention_layer(x, starts, lengths, layer, heads):
+    """Random-feature attention over packed segments.
+
+    x is (T, d): the rows of every segment, end to end. A row attends only
+    to rows of its own segment, which starts at ``starts[s]`` and holds
+    ``lengths[s]`` rows.
+    """
+    total, d = x.shape
     head_dim = d // heads
     scale = np.float32(head_dim ** -0.25)
 
     def split(mat):
-        return (x @ mat).reshape(n, length, heads, head_dim).transpose(0, 2, 1, 3)
+        return (x @ mat).reshape(total, heads, head_dim).transpose(1, 0, 2)
 
-    q = split(layer["wq"]) * scale  # (n, h, L, dh)
+    q = split(layer["wq"]) * scale  # (h, T, dh)
     k = split(layer["wk"]) * scale
     v = split(layer["wv"])
 
     # phi_q, phi_k start as the logits w.x and become the features in place,
-    # so only these two (n, h, L, m) arrays are alive at once
+    # so only these two (h, T, m) arrays are alive at once
     omega_t = layer["omega"].transpose(0, 2, 1)  # (h, dh, m)
     phi_q = q @ omega_t
     phi_k = k @ omega_t
-    padded = ~mask
     for phi, proj in ((phi_q, q), (phi_k, k)):
         phi -= 0.5 * (proj * proj).sum(-1)[..., None]
-        # indexing an (n, L, h, m) view writes the padded rows only
-        phi.transpose(0, 2, 1, 3)[padded] = np.float32(-1e30)
 
-    # shared stabilizer per (sequence, head), over unmasked positions only
-    stabilizer = np.maximum(phi_q.max(axis=(2, 3)), phi_k.max(axis=(2, 3)))
-    # fully-masked sequences: no valid positions, keep exp() in range
-    stabilizer[stabilizer < np.float32(-1e29)] = 0.0
-    stabilizer = stabilizer[:, :, None, None]
-
-    # exp(w.x - |x|^2/2 - C) / sqrt(m); padded positions underflow to zero
-    root_m = np.float32(np.sqrt(phi_q.shape[-1]))
-    for phi in (phi_q, phi_k):
-        phi -= stabilizer
-        np.exp(phi, out=phi)
-        phi /= root_m
-
-    kv = phi_k.transpose(0, 1, 3, 2) @ v  # (n, h, m, dh)
-    z = phi_k.sum(axis=2)[..., None]  # (n, h, m, 1)
-    numer = phi_q @ kv
-    denom = phi_q @ z + _EPS
-    out = (numer / denom).transpose(0, 2, 1, 3).reshape(n, length, d)
-    return out @ layer["wo"]
+    # [v | 1]: phi_k^T [v | 1] holds kv and z, phi_q of it numer and denom;
+    # the features' 1/sqrt(m) factors cancel in numer / denom, so they scale
+    # the denominator's epsilon instead
+    v_ones = np.concatenate(
+        (v, np.ones((heads, total, 1), dtype=np.float32)), axis=2)
+    eps = _EPS * np.float32(phi_q.shape[-1])
+    out = np.empty((total, heads, head_dim), dtype=np.float32)
+    for start, length in zip(starts, lengths):
+        rows = slice(start, start + length)
+        phi_q_s, phi_k_s = phi_q[:, rows], phi_k[:, rows]
+        # exp(w.x - |x|^2/2 - C), C the max over the segment's rows of both
+        # maps and all features, per head
+        stabilizer = np.maximum(phi_q_s.max(axis=(1, 2)),
+                                phi_k_s.max(axis=(1, 2)))[:, None, None]
+        for phi in (phi_q_s, phi_k_s):
+            phi -= stabilizer
+            np.exp(phi, out=phi)
+        kvz = phi_k_s.transpose(0, 2, 1) @ v_ones[:, rows]  # (h, m, dh + 1)
+        numer_denom = phi_q_s @ kvz  # (h, L, dh + 1)
+        out[rows] = (numer_denom[..., :head_dim]
+                     / (numer_denom[..., head_dim:] + eps)).transpose(1, 0, 2)
+    return out.reshape(total, d) @ layer["wo"]
 
 
 def encode_sequences(batch, params: EncoderParams,
                      config: EmbeddingConfig | None = None) -> np.ndarray:
     """Encode a batch of PathEmbeddings into an (n, m_max, seq_dim) tensor.
 
-    Rows at masked positions are zero in the output and never influence
-    unmasked positions.
+    Rows at or past a path's valid_len are zero in the output, and a path's
+    rows depend on that path alone: it encodes bit-identically in any batch.
     """
     config = config or params.config
     if not batch:
         raise DimensionMismatch("empty batch")
-    matrices = np.stack([p.matrix for p in batch]).astype(np.float32)
-    masks = np.stack([p.mask for p in batch])
-    if matrices.shape[2] != config.word_dim:
-        raise DimensionMismatch(
-            f"word dim {matrices.shape[2]} != {config.word_dim}")
+    for p in batch:
+        if p.matrix.shape[1] != config.word_dim:
+            raise DimensionMismatch(
+                f"word dim {p.matrix.shape[1]} != {config.word_dim}")
 
-    # work on the occupied prefix only; padding rows are zero by contract
-    work_len = max(1, int(masks.sum(axis=1).max()))
-    x = matrices[:, :work_len, :] @ params.input_proj + params.input_bias
-    mask = masks[:, :work_len]
-    x = np.where(mask[..., None], x, np.float32(0.0))
+    out = np.zeros((len(batch), config.m_max, config.seq_dim),
+                   dtype=np.float32)
+    owners = [i for i, p in enumerate(batch) if p.valid_len > 0]
+    if not owners:
+        return out
+    lengths = np.array([batch[i].valid_len for i in owners])
+    rows = [batch[i].matrix[:batch[i].valid_len] for i in owners]
+    if lengths.sum() == 1:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from the gemm of longer packs: add an unowned one-row segment
+        rows.append(rows[0])
+        lengths = np.array([1, 1])
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
 
+    x = np.concatenate(rows).astype(np.float32) @ params.input_proj \
+        + params.input_bias
     for layer in params.seq_layers:
-        attn = _attention_layer(x, mask, layer, config.seq_heads)
+        attn = _attention_layer(x, starts, lengths, layer, config.seq_heads)
         x = _layer_norm(x + attn, layer["ln1_g"], layer["ln1_b"])
         hidden = np.maximum(x @ layer["w1"] + layer["b1"], np.float32(0.0))
         x = _layer_norm(x + hidden @ layer["w2"] + layer["b2"],
                         layer["ln2_g"], layer["ln2_b"])
-        x = np.where(mask[..., None], x, np.float32(0.0))
 
-    out = np.zeros((len(batch), config.m_max, config.seq_dim), dtype=np.float32)
-    out[:, :work_len, :] = x
+    for i, start, length in zip(owners, starts, lengths):
+        out[i, :length] = x[start:start + length]
     return out
-

@@ -245,16 +245,19 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
     stored_functions = 0
     embed_ms = 0.0
     seen_functions = set()
+    encoded, encoded_for = {}, None  # distinct paths of one contract
     for a, i, ref, defect in to_embed:
         key = (a.name, i, ref, defect)
         if key in seen_functions:
             continue
         seen_functions.add(key)
+        if a is not encoded_for:
+            encoded, encoded_for = {}, a
         fn = a.analysis.functions[i]
         t0 = time.perf_counter()
         emb = embed_function(fn, a.paths[i], vocab, params, config.embedding,
                              use_sequence=config.use_sequence,
-                             use_graph=config.use_graph)
+                             use_graph=config.use_graph, encoded=encoded)
         embed_ms += (time.perf_counter() - t0) * 1e3
         defect_class = defect or DefectClass.BypassAuthReentrancy
         for block_id, vec in enumerate(emb.block_vectors):
@@ -312,13 +315,15 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
         truncated = fallback = 0
         t0 = time.perf_counter()
         embeddings = []
+        encoded = {}  # distinct paths of this contract, encoded once each
         for i, fn in enumerate(a.analysis.functions):
             if not fn.blocks:
                 continue
             emb = embed_function(fn, a.paths[i], vocab, params,
                                  config.embedding,
                                  use_sequence=config.use_sequence,
-                                 use_graph=config.use_graph)
+                                 use_graph=config.use_graph,
+                                 encoded=encoded)
             truncated += emb.paths_truncated
             fallback += emb.fallback_blocks
             embeddings.append(emb)
@@ -330,6 +335,7 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
                 ef_search=config.ef_search))
         result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
         result.counters = {"paths_truncated": truncated,
+                           "paths_encoded": len(encoded),
                            "fallback_blocks": fallback,
                            "functions_embedded": len(embeddings)}
         return result

@@ -133,12 +133,22 @@ def loop_body(limit: int = 3):
     return body
 
 
-def build_contract(functions, with_metadata: bool = False) -> bytes:
+def build_contract(functions, with_metadata: bool = False,
+                   callvalue_guard: bool = False) -> bytes:
     """Assemble a dispatcher + bodies contract.
 
     functions: list of (selector bytes or canonical signature str, body).
+    With ``callvalue_guard`` the dispatcher is preceded by solc's prologue
+    for a contract without payable functions: the free-memory pointer
+    store, then a revert unless CALLVALUE is zero.
     """
     a = Asm()
+    if callvalue_guard:
+        a.push(0x80).push(0x40).op("MSTORE")
+        a.op("CALLVALUE").op("DUP1").op("ISZERO")
+        a.push_label("no_value").op("JUMPI")
+        a.push(0).op("DUP1").op("REVERT")
+        a.label("no_value").op("JUMPDEST").op("POP")
     a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
     resolved = [(signature_selector(sel) if isinstance(sel, str) else sel,
                  body) for sel, body in functions]

@@ -1,9 +1,10 @@
 """Einsum reference for the sequence encoder's random-feature attention.
 
 `attention_layer` is the layer as first written: explicit `np.einsum`
-products and out-of-place feature maps. It takes the same arguments as
-`deltascan.encoder.sequence._attention_layer` and shares no code with it,
-so a test can run `encode_sequences` with either and compare.
+products, out-of-place feature maps, and a padded (n, L) batch with a
+mask. `encode_reference` is the padded encoder loop that drives it, with
+the same arguments and output as `deltascan.encoder.encode_sequences`; it
+shares no code with the packed encoder, so a test can compare the two.
 `approx_attention` builds the explicit (L, L) attention matrix that the
 linear path factorizes, for one head.
 """
@@ -11,6 +12,7 @@ linear path factorizes, for one head.
 import numpy as np
 
 _EPS = np.float32(1e-6)
+_LN_EPS = np.float32(1e-5)
 
 
 def _positive_features(centered, stabilizer):
@@ -61,6 +63,35 @@ def attention_layer(x, mask, layer, heads):
     denom = np.einsum("nhlm,nhm->nhl", phi_q, z)[..., None] + _EPS
     out = (numer / denom).transpose(0, 2, 1, 3).reshape(n, length, d)
     return out @ layer["wo"]
+
+
+def _layer_norm(x, gain, bias):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return ((x - mean) / np.sqrt(var + _LN_EPS)) * gain + bias
+
+
+def encode_reference(batch, params, config):
+    """(n, m_max, seq_dim) encoding of a batch of PathEmbeddings, computed
+    on the batch padded to its longest path, with masked rows zeroed."""
+    matrices = np.stack([p.matrix for p in batch]).astype(np.float32)
+    masks = np.stack([p.mask for p in batch])
+    work_len = max(1, int(masks.sum(axis=1).max()))
+    x = matrices[:, :work_len, :] @ params.input_proj + params.input_bias
+    mask = masks[:, :work_len]
+    x = np.where(mask[..., None], x, np.float32(0.0))
+
+    for layer in params.seq_layers:
+        attn = attention_layer(x, mask, layer, config.seq_heads)
+        x = _layer_norm(x + attn, layer["ln1_g"], layer["ln1_b"])
+        hidden = np.maximum(x @ layer["w1"] + layer["b1"], np.float32(0.0))
+        x = _layer_norm(x + hidden @ layer["w2"] + layer["b2"],
+                        layer["ln2_g"], layer["ln2_b"])
+        x = np.where(mask[..., None], x, np.float32(0.0))
+
+    out = np.zeros((len(batch), config.m_max, config.seq_dim), dtype=np.float32)
+    out[:, :work_len, :] = x
+    return out
 
 
 def approx_attention(q: np.ndarray, k: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -94,6 +94,21 @@ def test_two_selector_dispatcher_plus_fallback():
     assert None in selectors  # the fallback function
 
 
+def test_callvalue_guard_before_dispatcher_keeps_selectors():
+    functions = [("approve(address,uint256)", getter_body(2)),
+                 ("setApprovalForAll(address,bool)", setter_body(3))]
+    plain = analyze_contract(build_contract(functions))
+    guarded = analyze_contract(build_contract(functions, callvalue_guard=True))
+    assert set(guarded.selector_map.entries) == set(plain.selector_map.entries)
+    assert len(guarded.selector_map.entries) == 2
+
+    def bodies(analysis):
+        return {fn.selector: [[i.opcode.mnemonic for i in b.instructions]
+                              for b in fn.blocks]
+                for fn in analysis.functions}
+    assert bodies(guarded) == bodies(plain)
+
+
 def test_functions_exclude_dispatcher_and_other_entries():
     analysis = analyze_contract(build_contract([
         ("approve(address,uint256)", getter_body(2)),

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from deltascan.cfg import analyze_contract, extract_paths
-from deltascan.encoder import embed_function, sequence
+from deltascan.encoder import embed, embed_function
 from deltascan.encoder.params import init_params
 from deltascan.errors import EmptyFunction
 from fixtures import build_contract, setter_body, vulnerable_mint_body
-from oracles.attention_ref import attention_layer
+from oracles.attention_ref import encode_reference
 
 
 def _embed(code, vocab, params, config, **kwargs):
@@ -123,8 +123,41 @@ def test_block_vectors_match_einsum_oracle(small_vocab, params, config,
     """Encoder rewrites keep block vectors within 1e-5 of the reference."""
     code = build_contract([("approve(address,uint256)", setter_body(1))])
     fn, emb = _embed(code, small_vocab, params, config)
-    monkeypatch.setattr(sequence, "_attention_layer", attention_layer)
+    monkeypatch.setattr(embed, "encode_sequences", encode_reference)
     _, ref = _embed(code, small_vocab, params, config)
     assert len(emb.block_vectors) == len(fn.blocks) > 1
     for a, b in zip(emb.block_vectors, ref.block_vectors):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-5)
+
+
+def test_shared_dict_encodes_each_distinct_path_once(small_vocab, params,
+                                                     config, monkeypatch):
+    """Functions sharing one dict encode a path once, in one call per
+    function with misses, and embed bit-identically to separate calls."""
+    code = build_contract([("approve(address,uint256)", setter_body(1)),
+                           ("setConfig(uint256)", setter_body(2)),
+                           ("mint(address,uint256)", vulnerable_mint_body(3))])
+    functions = [(fn, extract_paths(fn))
+                 for fn in analyze_contract(code).functions]
+    alone = [embed_function(fn, paths, small_vocab, params, config)
+             for fn, paths in functions]
+    batches = []
+    encode = embed.encode_sequences
+
+    def counted(batch, *args):
+        batches.append(len(batch))
+        return encode(batch, *args)
+    monkeypatch.setattr(embed, "encode_sequences", counted)
+    encoded = {}
+    shared = [embed_function(fn, paths, small_vocab, params, config,
+                             encoded=encoded)
+              for fn, paths in functions]
+    distinct = {tuple(ins.opcode.mnemonic for bid in p.blocks
+                      for ins in fn.blocks[bid].instructions)
+                for fn, paths in functions for p in paths}
+    assert sum(batches) == len(encoded) == len(distinct)
+    assert len(batches) < len(functions)  # the twin setter needs no call
+    for a, b in zip(alone, shared):
+        assert a.paths_truncated == b.paths_truncated
+        assert [v.tobytes() for v in a.block_vectors] == \
+            [v.tobytes() for v in b.block_vectors]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import deltascan.pipeline as pipeline
+from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
 from deltascan.errors import DeltascanError
 from deltascan.pipeline import (PipelineConfig, cmd_ablate, cmd_detect,
@@ -131,6 +132,21 @@ def test_detect_self_match(built_index, corpus_dir, tmp_path):
         assert all(f.max_block_distance == 0.0 for f in self_matches)
         assert res.timings_ms["embedding"] >= 0
         assert res.counters["functions_embedded"] >= 1
+
+
+def test_detect_counts_distinct_paths_encoded(built_index, tmp_path):
+    config, _ = built_index
+    code = build_contract([("approve(address,uint256)", setter_body(1)),
+                           ("setConfig(uint256)", setter_body(2)),
+                           ("owner()", getter_body(3))])
+    target = tmp_path / "twins.bin"
+    target.write_bytes(code)
+    (res,) = cmd_detect(config, [str(target)])
+    paths = [tuple(ins.opcode.mnemonic for bid in p.blocks
+                   for ins in fn.blocks[bid].instructions)
+             for fn in analyze_contract(code).functions
+             for p in enumerate_paths(fn, config.max_paths).paths]
+    assert res.counters["paths_encoded"] == len(set(paths)) < len(paths)
 
 
 def test_detect_never_runs_detectors(built_index, corpus_dir, monkeypatch):
@@ -311,3 +327,17 @@ def test_compile_cmd_quotes_input_path(tmp_path, monkeypatch):
     (out,) = _compile_inputs([str(source)], cmd, tmp_path / "compiled")
     assert Path(out).read_bytes() == bytes.fromhex("600160020100")
     assert not (tmp_path / "pwned.sol").exists()
+
+
+def test_compile_outputs_of_same_stem_stay_apart(tmp_path):
+    sources = []
+    for sub, code in (("a", "0x6001"), ("b", "0x6002")):
+        (tmp_path / sub).mkdir()
+        sources.append(tmp_path / sub / "x.sol")
+        sources[-1].write_text(code)
+    echo = "import sys; print(open(sys.argv[1]).read())"
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(echo)} {{input}}"
+    outs = _compile_inputs([str(s) for s in sources], cmd,
+                           tmp_path / "compiled")
+    assert [Path(o).name for o in outs] == ["x.bin", "x.bin"]
+    assert [Path(o).read_bytes() for o in outs] == [b"\x60\x01", b"\x60\x02"]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from deltascan.encoder import (EmbeddingConfig, embed_path, encode_sequences,
-                               PathEmbedding, sequence)
+                               PathEmbedding)
 from deltascan.encoder.params import init_params
 from deltascan.errors import DimensionMismatch
-from oracles.attention_ref import approx_attention, attention_layer
+from oracles.attention_ref import approx_attention, encode_reference
 
 
 def test_embed_path_shape_and_padding(small_vocab, config):
@@ -138,26 +138,39 @@ def _random_path(rng, config, valid_len, magnitude=1.0):
     # 1e10: the length a diverged vocabulary gives its word vectors
     ([4, 30, 11], 1e10),
 ], ids=["ragged", "fully-masked", "m_max-long", "diverged-scale"])
-def test_encode_matches_einsum_oracle(lengths, magnitude, params, config,
-                                      monkeypatch):
-    """The matmul attention stays within 1e-5 of the einsum reference."""
+def test_encode_matches_einsum_oracle(lengths, magnitude, params, config):
+    """The packed encoder stays within 1e-5 of the padded einsum reference."""
     rng = np.random.default_rng(0)
     batch = [_random_path(rng, config, n, magnitude) for n in lengths]
     out = encode_sequences(batch, params, config)
-    monkeypatch.setattr(sequence, "_attention_layer", attention_layer)
-    expected = encode_sequences(batch, params, config)
+    expected = encode_reference(batch, params, config)
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-5)
 
 
-def test_attention_layer_is_zero_on_padded_rows(params, config):
-    """Padded rows, including a fully padded sequence, leave the layer as
-    exact zeros, as in the reference."""
+def test_zero_length_and_padded_rows_are_zero(params, config):
+    """Zero-length paths come back as all zeros, and every row at or past a
+    path's valid_len is exactly 0."""
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 8, config.seq_dim)).astype(np.float32)
-    mask = np.arange(8)[None, :] < np.array([[0], [5]])
-    layer = params.seq_layers[0]
-    out = sequence._attention_layer(x, mask, layer, config.seq_heads)
-    ref = attention_layer(x, mask, layer, config.seq_heads)
-    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5)
-    assert not out[0].any() and not out[1, 5:].any()
+    lengths = [0, 5, 0, 1, 33]
+    batch = [_random_path(rng, config, n) for n in lengths]
+    out = encode_sequences(batch, params, config)
+    for row, n in zip(out, lengths):
+        assert not row[n:].any()
+        assert row[:n].any(axis=1).all()
+    assert not encode_sequences(batch[:1], params, config).any()
+
+
+def test_encoding_is_bitwise_batch_invariant(params, config):
+    """A path encodes to the same bits alone, among other paths, and in
+    reversed order, so equal paths stored and scanned in different batches
+    sit at distance exactly 0."""
+    rng = np.random.default_rng(5)
+    lengths = [0, 1, 2, 512, 7, 1, 40]
+    batch = [_random_path(rng, config, n) for n in lengths]
+    together = encode_sequences(batch, params, config)
+    backwards = encode_sequences(batch[::-1], params, config)[::-1]
+    for i, path in enumerate(batch):
+        alone = encode_sequences([path], params, config)[0]
+        assert np.array_equal(alone, together[i]), lengths[i]
+        assert np.array_equal(alone, backwards[i]), lengths[i]
