@@ -3,7 +3,8 @@
 The library disassembles EVM bytecode, recovers function-level control-flow
 graphs through the dispatcher, embeds each basic block with frozen
 sequence + graph encoders, and flags functions whose block vectors sit close
-to known-defective functions in an approximate-nearest-neighbor index.
+to those of a known-defective function with the same selector, compared
+exactly against every such function in the index.
 """
 
 from .cfg import (BasicBlock, ContractAnalysis, Edge, ExecutionPath,
@@ -17,9 +18,8 @@ from .detectors import (DefectClass, DefectRecord, MappedDefect,
 from .encoder import (EmbeddingConfig, EncoderParams, FunctionEmbedding,
                       PathEmbedding, Vocabulary, embed_function, embed_path,
                       encode_graph, encode_sequences, fuse_block,
-                      fusion_weights, load_params, load_vocabulary,
-                      pool_block, save_params, save_vocabulary,
-                      train_vocabulary)
+                      fusion_weights, load_vocabulary, pool_block,
+                      save_vocabulary, train_vocabulary)
 from .errors import (BadAddress, CorruptFile, DeltascanError,
                      DimensionMismatch, EmptyCorpus, EmptyFunction,
                      MalformedSignature, NetworkError, NotAContract,

@@ -69,9 +69,6 @@ class FunctionCfg:
             return 0.0
         return sum(b.instr_count for b in self.blocks) / len(self.blocks)
 
-    def block(self, block_id: int) -> BasicBlock:
-        return self.blocks[block_id]
-
 
 @dataclass(frozen=True)
 class ExecutionPath:

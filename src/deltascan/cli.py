@@ -28,8 +28,8 @@ from .pipeline import (DEFAULT_THRESHOLDS, PipelineConfig, cmd_ablate,
 
 API_KEY_ENV = "DELTASCAN_API_KEY"
 
-_BOOL_FIELDS = {"use_sequence", "use_graph", "allow_no_stages", "store_all"}
-_INT_FIELDS = {"max_paths", "workers", "ef_search", "seed"}
+_BOOL_FIELDS = {"use_sequence", "use_graph", "allow_no_stages"}
+_INT_FIELDS = {"max_paths", "workers", "seed"}
 _FLOAT_FIELDS = {"threshold"}
 _STR_FIELDS = {"index_path", "cache_dir", "api_base_url", "api_key"}
 
@@ -73,15 +73,12 @@ def build_pipeline_config(args) -> PipelineConfig:
         "workers": args.workers,
         "cache_dir": args.cache_dir,
         "api_base_url": args.api_url,
-        "ef_search": args.ef_search,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
     if args.no_seq:
         values["use_sequence"] = False
     if args.no_graph:
         values["use_graph"] = False
-    if getattr(args, "store_all", False):
-        values["store_all"] = True
     if getattr(args, "force", False):
         values["allow_no_stages"] = True
     seed = values.pop("seed", None)
@@ -227,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", dest="cache_dir")
     parser.add_argument("--api-url", dest="api_url",
                         help="explorer JSON-RPC endpoint")
-    parser.add_argument("--ef-search", type=int, dest="ef_search")
     parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the defect index from contracts + reports")
     p.add_argument("inputs", nargs="+",
                    help="bytecode files and/or .json defect reports")
-    p.add_argument("--store-all", action="store_true", dest="store_all",
-                   help="store every function, not just defective ones")
     p.add_argument("--compile-cmd", dest="compile_cmd",
                    help="external command producing hex runtime bytecode on "
                         "stdout; {input} is replaced with each source path")

@@ -1,6 +1,6 @@
 from .config import EmbeddingConfig
 from .vocab import Vocabulary, train_vocabulary, save_vocabulary, load_vocabulary
-from .params import EncoderParams, save_params, load_params
+from .params import EncoderParams
 from .sequence import embed_path, encode_sequences, PathEmbedding
 from .fusion import fusion_weights, fuse_block
 from .graph import (InstructionGraph, build_instruction_graph, encode_graph,
@@ -10,7 +10,7 @@ from .embed import FunctionEmbedding, embed_function
 __all__ = [
     "EmbeddingConfig", "Vocabulary", "train_vocabulary",
     "save_vocabulary", "load_vocabulary",
-    "EncoderParams", "save_params", "load_params",
+    "EncoderParams",
     "embed_path", "encode_sequences", "PathEmbedding",
     "fusion_weights", "fuse_block",
     "InstructionGraph", "build_instruction_graph", "encode_graph",

@@ -11,16 +11,11 @@ object.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CorruptFile
 from .config import EmbeddingConfig
-
-_MAGIC = b"DSEP"
-_VERSION = 1
 
 
 def _uniform(rng, shape, fan_in):
@@ -109,46 +104,3 @@ def init_params(config: EmbeddingConfig | None = None,
 
     return EncoderParams(config, input_proj, input_bias, word_to_seq,
                          tuple(seq_layers), tuple(gat_layers), pool, block_proj)
-
-
-def save_params(params: EncoderParams, path, seed: int | None = None) -> None:
-    """Persist the generating seed and config; weights are re-derived on
-    load, which keeps the artifact tiny and auditable."""
-    cfg = params.config
-    seed = cfg.seed if seed is None else seed
-    fields = (cfg.word_dim, cfg.seq_dim, cfg.graph_dim, cfg.block_dim,
-              cfg.window, cfg.seq_layers, cfg.seq_heads, cfg.gat_layers,
-              cfg.m_max, cfg.pool_hidden, cfg.seed,
-              cfg.num_random_features, cfg.ff_dim, seed)
-    payload = struct.pack("<14I", *fields)
-    payload += struct.pack("<%dI" % len(cfg.gat_heads), *cfg.gat_heads)
-    payload += struct.pack("<dd", cfg.alpha, cfg.clip_cap)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HH", _VERSION, len(cfg.gat_heads)))
-        fh.write(payload)
-
-
-def load_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != _MAGIC:
-        raise CorruptFile("bad params magic")
-    version, n_gat = struct.unpack("<HH", data[4:8])
-    if version != _VERSION:
-        raise CorruptFile(f"unsupported params version {version}")
-    try:
-        fields = struct.unpack("<14I", data[8:8 + 56])
-        gat_heads = struct.unpack("<%dI" % n_gat, data[64:64 + 4 * n_gat])
-        alpha, clip_cap = struct.unpack("<dd", data[64 + 4 * n_gat:80 + 4 * n_gat])
-    except struct.error as exc:
-        raise CorruptFile(f"truncated params file: {exc}") from exc
-    (word_dim, seq_dim, graph_dim, block_dim, window, seq_layers, seq_heads,
-     gat_layers, m_max, pool_hidden, cfg_seed, nrf, ff_dim, seed) = fields
-    config = EmbeddingConfig(
-        word_dim=word_dim, seq_dim=seq_dim, graph_dim=graph_dim,
-        block_dim=block_dim, window=window, seq_layers=seq_layers,
-        seq_heads=seq_heads, gat_layers=gat_layers, gat_heads=tuple(gat_heads),
-        alpha=alpha, clip_cap=clip_cap, m_max=m_max, pool_hidden=pool_hidden,
-        seed=cfg_seed, num_random_features=nrf, ff_dim=ff_dim)
-    return init_params(config, seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .config import EmbeddingConfig
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"DSVW"
-_VERSION = 1
+_VERSION = 2
 
 _NEGATIVES = 5
 _BASE_LR = 0.025
@@ -141,27 +142,30 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Voc
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
+    payload = bytearray()
+    for token in sorted(vocab.vectors):
+        raw = token.encode("utf-8")
+        payload += struct.pack("<H", len(raw)) + raw
+        payload += vocab.vectors[token].astype("<f4").tobytes()
+    payload += vocab.training_corpus_hash  # corpus digest, for audit
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<HHI", _VERSION, vocab.word_dim, len(vocab.vectors)))
-        for token in sorted(vocab.vectors):
-            raw = token.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(vocab.vectors[token].astype("<f4").tobytes())
-        # trailing corpus digest for audit
-        fh.write(vocab.training_corpus_hash)
+        fh.write(struct.pack("<HHII", _VERSION, vocab.word_dim,
+                             len(vocab.vectors), zlib.crc32(bytes(payload))))
+        fh.write(payload)
 
 
 def load_vocabulary(path) -> Vocabulary:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 12 or data[:4] != _MAGIC:
+    if len(data) < 16 or data[:4] != _MAGIC:
         raise CorruptFile("bad vocabulary magic")
-    version, dim, count = struct.unpack("<HHI", data[4:12])
+    version, dim, count, checksum = struct.unpack("<HHII", data[4:16])
     if version != _VERSION:
         raise CorruptFile(f"unsupported vocabulary version {version}")
-    pos = 12
+    if zlib.crc32(data[16:]) != checksum:
+        raise CorruptFile("vocabulary checksum mismatch")
+    pos = 16
     vectors = {}
     try:
         for _ in range(count):
@@ -180,4 +184,6 @@ def load_vocabulary(path) -> Vocabulary:
     corpus_hash = data[pos:pos + 32]
     if len(corpus_hash) != 32:
         raise CorruptFile("missing corpus digest")
+    if pos + 32 != len(data):
+        raise CorruptFile("trailing bytes in vocabulary file")
     return Vocabulary(vectors, dim, corpus_hash)

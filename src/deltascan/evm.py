@@ -31,8 +31,6 @@ class Opcode:
     mnemonic: str
     byte_value: int
     immediate_len: int = 0
-    stack_pops: int = 0
-    stack_pushes: int = 0
     is_defined: bool = True
 
     @property
@@ -64,58 +62,45 @@ class Opcode:
         return self.byte_value == 0x55
 
 
-# (byte, mnemonic, pops, pushes)
+# (byte, mnemonic)
 _DEFINED = [
-    (0x00, "STOP", 0, 0), (0x01, "ADD", 2, 1), (0x02, "MUL", 2, 1),
-    (0x03, "SUB", 2, 1), (0x04, "DIV", 2, 1), (0x05, "SDIV", 2, 1),
-    (0x06, "MOD", 2, 1), (0x07, "SMOD", 2, 1), (0x08, "ADDMOD", 3, 1),
-    (0x09, "MULMOD", 3, 1), (0x0A, "EXP", 2, 1), (0x0B, "SIGNEXTEND", 2, 1),
-    (0x10, "LT", 2, 1), (0x11, "GT", 2, 1), (0x12, "SLT", 2, 1),
-    (0x13, "SGT", 2, 1), (0x14, "EQ", 2, 1), (0x15, "ISZERO", 1, 1),
-    (0x16, "AND", 2, 1), (0x17, "OR", 2, 1), (0x18, "XOR", 2, 1),
-    (0x19, "NOT", 1, 1), (0x1A, "BYTE", 2, 1), (0x1B, "SHL", 2, 1),
-    (0x1C, "SHR", 2, 1), (0x1D, "SAR", 2, 1),
-    (0x20, "KECCAK256", 2, 1),
-    (0x30, "ADDRESS", 0, 1), (0x31, "BALANCE", 1, 1), (0x32, "ORIGIN", 0, 1),
-    (0x33, "CALLER", 0, 1), (0x34, "CALLVALUE", 0, 1),
-    (0x35, "CALLDATALOAD", 1, 1), (0x36, "CALLDATASIZE", 0, 1),
-    (0x37, "CALLDATACOPY", 3, 0), (0x38, "CODESIZE", 0, 1),
-    (0x39, "CODECOPY", 3, 0), (0x3A, "GASPRICE", 0, 1),
-    (0x3B, "EXTCODESIZE", 1, 1), (0x3C, "EXTCODECOPY", 4, 0),
-    (0x3D, "RETURNDATASIZE", 0, 1), (0x3E, "RETURNDATACOPY", 3, 0),
-    (0x3F, "EXTCODEHASH", 1, 1),
-    (0x40, "BLOCKHASH", 1, 1), (0x41, "COINBASE", 0, 1),
-    (0x42, "TIMESTAMP", 0, 1), (0x43, "NUMBER", 0, 1),
-    (0x44, "PREVRANDAO", 0, 1), (0x45, "GASLIMIT", 0, 1),
-    (0x46, "CHAINID", 0, 1), (0x47, "SELFBALANCE", 0, 1),
-    (0x48, "BASEFEE", 0, 1),
-    (0x50, "POP", 1, 0), (0x51, "MLOAD", 1, 1), (0x52, "MSTORE", 2, 0),
-    (0x53, "MSTORE8", 2, 0), (0x54, "SLOAD", 1, 1), (0x55, "SSTORE", 2, 0),
-    (0x56, "JUMP", 1, 0), (0x57, "JUMPI", 2, 0), (0x58, "PC", 0, 1),
-    (0x59, "MSIZE", 0, 1), (0x5A, "GAS", 0, 1), (0x5B, "JUMPDEST", 0, 0),
-    (0x5F, "PUSH0", 0, 1),
-    (0xF0, "CREATE", 3, 1), (0xF1, "CALL", 7, 1), (0xF2, "CALLCODE", 7, 1),
-    (0xF3, "RETURN", 2, 0), (0xF4, "DELEGATECALL", 6, 1),
-    (0xF5, "CREATE2", 4, 1), (0xFA, "STATICCALL", 6, 1),
-    (0xFD, "REVERT", 2, 0), (0xFE, "INVALID", 0, 0),
-    (0xFF, "SELFDESTRUCT", 1, 0),
+    (0x00, "STOP"), (0x01, "ADD"), (0x02, "MUL"), (0x03, "SUB"), (0x04, "DIV"),
+    (0x05, "SDIV"), (0x06, "MOD"), (0x07, "SMOD"), (0x08, "ADDMOD"),
+    (0x09, "MULMOD"), (0x0A, "EXP"), (0x0B, "SIGNEXTEND"), (0x10, "LT"),
+    (0x11, "GT"), (0x12, "SLT"), (0x13, "SGT"), (0x14, "EQ"), (0x15, "ISZERO"),
+    (0x16, "AND"), (0x17, "OR"), (0x18, "XOR"), (0x19, "NOT"), (0x1A, "BYTE"),
+    (0x1B, "SHL"), (0x1C, "SHR"), (0x1D, "SAR"), (0x20, "KECCAK256"),
+    (0x30, "ADDRESS"), (0x31, "BALANCE"), (0x32, "ORIGIN"), (0x33, "CALLER"),
+    (0x34, "CALLVALUE"), (0x35, "CALLDATALOAD"), (0x36, "CALLDATASIZE"),
+    (0x37, "CALLDATACOPY"), (0x38, "CODESIZE"), (0x39, "CODECOPY"),
+    (0x3A, "GASPRICE"), (0x3B, "EXTCODESIZE"), (0x3C, "EXTCODECOPY"),
+    (0x3D, "RETURNDATASIZE"), (0x3E, "RETURNDATACOPY"), (0x3F, "EXTCODEHASH"),
+    (0x40, "BLOCKHASH"), (0x41, "COINBASE"), (0x42, "TIMESTAMP"),
+    (0x43, "NUMBER"), (0x44, "PREVRANDAO"), (0x45, "GASLIMIT"),
+    (0x46, "CHAINID"), (0x47, "SELFBALANCE"), (0x48, "BASEFEE"), (0x50, "POP"),
+    (0x51, "MLOAD"), (0x52, "MSTORE"), (0x53, "MSTORE8"), (0x54, "SLOAD"),
+    (0x55, "SSTORE"), (0x56, "JUMP"), (0x57, "JUMPI"), (0x58, "PC"),
+    (0x59, "MSIZE"), (0x5A, "GAS"), (0x5B, "JUMPDEST"), (0x5F, "PUSH0"),
+    (0xF0, "CREATE"), (0xF1, "CALL"), (0xF2, "CALLCODE"), (0xF3, "RETURN"),
+    (0xF4, "DELEGATECALL"), (0xF5, "CREATE2"), (0xFA, "STATICCALL"),
+    (0xFD, "REVERT"), (0xFE, "INVALID"), (0xFF, "SELFDESTRUCT"),
 ]
 
 
 def _build_table() -> tuple:
     table = [None] * 256
-    for byte, name, pops, pushes in _DEFINED:
-        table[byte] = Opcode(name, byte, 0, pops, pushes)
+    for byte, name in _DEFINED:
+        table[byte] = Opcode(name, byte)
     for n in range(1, 33):
-        table[0x5F + n] = Opcode(f"PUSH{n}", 0x5F + n, n, 0, 1)
+        table[0x5F + n] = Opcode(f"PUSH{n}", 0x5F + n, n)
     for n in range(1, 17):
-        table[0x7F + n] = Opcode(f"DUP{n}", 0x7F + n, 0, n, n + 1)
-        table[0x8F + n] = Opcode(f"SWAP{n}", 0x8F + n, 0, n + 1, n + 1)
+        table[0x7F + n] = Opcode(f"DUP{n}", 0x7F + n)
+        table[0x8F + n] = Opcode(f"SWAP{n}", 0x8F + n)
     for n in range(5):
-        table[0xA0 + n] = Opcode(f"LOG{n}", 0xA0 + n, 0, n + 2, 0)
+        table[0xA0 + n] = Opcode(f"LOG{n}", 0xA0 + n)
     for byte in range(256):
         if table[byte] is None:
-            table[byte] = Opcode("INVALID", byte, 0, 0, 0, is_defined=False)
+            table[byte] = Opcode("INVALID", byte, is_defined=False)
     return tuple(table)
 
 
@@ -158,10 +143,6 @@ class Program:
     @cached_property
     def code_hash(self) -> bytes:
         return keccak256(self.code_body)
-
-    def tokens(self) -> list:
-        """Opcode mnemonic stream with immediates dropped."""
-        return [ins.opcode.mnemonic for ins in self.instructions]
 
 
 def _cbor_item_end(blob: bytes, pos: int, depth: int = 0):

@@ -1,17 +1,19 @@
-"""Labeled block-vector store: a from-scratch HNSW graph with Euclidean
-distance, the per-function similarity decision rule, and binary
-persistence.
+"""Labeled block-vector store, the per-function similarity decision rule,
+and binary persistence.
 
-Queries are read-only and thread-safe; inserts require exclusive access
-(single-writer, multi-reader).
+The store is exact: it keeps every block vector, grouped by function, and
+buckets the functions by selector. The decision rule compares a query
+function with every stored function under its selector, so it never misses
+one within the threshold. Distances are Euclidean. Queries are read-only
+and thread-safe; inserts require exclusive access (single-writer,
+multi-reader).
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,7 @@ __all__ = ["EntryLabel", "IndexEntry", "AnnIndex", "Finding", "decide_similar",
            "save_index", "load_index"]
 
 _MAGIC = b"DSIX"
-_VERSION = 1
+_VERSION = 2
 _METRIC_EUCLIDEAN = 1
 
 _DEFECT_CODES = {cls: i for i, cls in enumerate(DefectClass)}
@@ -65,150 +67,35 @@ class Finding:
 
 
 class AnnIndex:
-    """Hierarchical navigable small-world graph over labeled vectors."""
+    """Exact store of labeled block vectors, grouped by function, with the
+    functions bucketed by selector."""
 
-    def __init__(self, dim: int, m: int = 16, ef_construction: int = 200,
-                 seed: int = 42):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.m = m
-        self.m0 = 2 * m
-        self.ef_construction = ef_construction
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._level_draws = 0
-        self._level_mult = 1.0 / np.log(m)
         self.entries: list = []           # IndexEntry, dense ids
-        self._capacity = 1024
-        self._store = np.zeros((self._capacity, dim), dtype=np.float32)
-        self._levels: list = []           # top layer per node
-        self._neighbors: list = []        # node -> {layer: [ids]}
-        self._entry_point: int | None = None
-        self._max_level = -1
         self._groups: dict = {}           # function_key -> [entry ids]
+        self._by_selector: dict = {}      # selector -> [function keys]
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    # -- distance helpers (squared internally, sqrt at the API edge) --
-
-    @property
-    def _vectors(self) -> np.ndarray:
-        return self._store[:len(self.entries)]
-
-    def _append_vector(self, vec: np.ndarray) -> None:
-        if len(self.entries) > self._store.shape[0]:
-            grown = np.zeros((2 * self._store.shape[0], self.dim), np.float32)
-            grown[:self._store.shape[0]] = self._store
-            self._store = grown
-            self._capacity = grown.shape[0]
-        self._store[len(self.entries) - 1] = vec
-
-    def _dist2(self, a: int, vec: np.ndarray) -> float:
-        diff = self._store[a] - vec
-        return float(diff @ diff)
-
-    def _draw_level(self) -> int:
-        u = self._rng.random()
-        self._level_draws += 1
-        return int(-np.log(max(u, 1e-300)) * self._level_mult)
-
-    def _search_layer(self, vec, entry_points, ef, layer):
-        visited = bytearray(len(self.entries))
-        points = list(dict.fromkeys(entry_points))
-        for p in points:
-            visited[p] = 1
-        diff = self._store[points] - vec
-        dists = (diff * diff).sum(axis=1)
-        candidates = [(float(d), p) for d, p in zip(dists, points)]
-        heapq.heapify(candidates)
-        best = [(-d, p) for d, p in candidates]
-        heapq.heapify(best)
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0]:
-                break
-            fresh = [n for n in self._neighbors[node].get(layer, ())
-                     if not visited[n]]
-            if not fresh:
-                continue
-            for n in fresh:
-                visited[n] = 1
-            diff = self._store[fresh] - vec
-            for d, neigh in zip((diff * diff).sum(axis=1).tolist(), fresh):
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, neigh))
-                    heapq.heappush(best, (-d, neigh))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-nd, p) for nd, p in best)
-
-    def _select_neighbors(self, ranked, count):
-        """Diversity heuristic: keep a candidate only if it is closer to the
-        query than to every already-kept neighbor; backfill with the nearest
-        pruned candidates if underfull."""
-        if len(ranked) <= count:
-            return [p for _, p in ranked]
-        ids = np.fromiter((p for _, p in ranked), dtype=np.int64,
-                          count=len(ranked))
-        dists = np.fromiter((d for d, _ in ranked), dtype=np.float64,
-                            count=len(ranked))
-        min_to_selected = np.full(len(ids), np.inf)
-        selected, pruned = [], []
-        for i in range(len(ids)):
-            if len(selected) >= count:
-                break
-            if dists[i] < min_to_selected[i]:
-                selected.append(int(ids[i]))
-                diff = self._store[ids] - self._store[ids[i]]
-                min_to_selected = np.minimum(min_to_selected,
-                                             (diff * diff).sum(axis=1))
-            else:
-                pruned.append(int(ids[i]))
-        selected.extend(pruned[:count - len(selected)])
-        return selected
 
     def insert(self, entry: IndexEntry) -> int:
         vec = np.asarray(entry.vector, dtype=np.float32)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {vec.shape} != ({self.dim},)")
-        node = len(self.entries)
-        entry = IndexEntry(node, vec, entry.label)
-        self.entries.append(entry)
-        self._append_vector(vec)
-        level = self._draw_level()
-        self._levels.append(level)
-        self._neighbors.append({})
-        self._groups.setdefault(entry.label.function_key, []).append(node)
+        entry_id = len(self.entries)
+        label = entry.label
+        self.entries.append(IndexEntry(entry_id, vec, label))
+        if label.function_key not in self._groups:
+            self._groups[label.function_key] = []
+            self._by_selector.setdefault(label.selector, []).append(
+                label.function_key)
+        self._groups[label.function_key].append(entry_id)
+        return entry_id
 
-        if self._entry_point is None:
-            self._entry_point = node
-            self._max_level = level
-            return node
-
-        current = [self._entry_point]
-        for layer in range(self._max_level, level, -1):
-            current = [self._search_layer(vec, current, 1, layer)[0][1]]
-        for layer in range(min(level, self._max_level), -1, -1):
-            ranked = self._search_layer(vec, current, self.ef_construction, layer)
-            max_conn = self.m0 if layer == 0 else self.m
-            chosen = self._select_neighbors(ranked, max_conn)
-            self._neighbors[node][layer] = list(chosen)
-            for other in chosen:
-                links = self._neighbors[other].setdefault(layer, [])
-                links.append(node)
-                if len(links) > max_conn:
-                    ranked_links = sorted(
-                        (self._dist2(l, self._store[other]), l) for l in links)
-                    self._neighbors[other][layer] = self._select_neighbors(
-                        ranked_links, max_conn)
-            current = [p for _, p in ranked]
-        if level > self._max_level:
-            self._max_level = level
-            self._entry_point = node
-        return node
-
-    def query(self, vector, k: int = 1, ef_search: int = 64) -> list:
-        """k nearest entries as (entry_id, euclidean_distance), ascending."""
+    def query(self, vector, k: int = 1) -> list:
+        """k nearest entries as (entry_id, euclidean_distance), ascending;
+        an exact scan, ties in insertion order."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self.entries:
@@ -216,44 +103,29 @@ class AnnIndex:
         vec = np.asarray(vector, dtype=np.float32)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {vec.shape} != ({self.dim},)")
-        current = [self._entry_point]
-        for layer in range(self._max_level, 0, -1):
-            current = [self._search_layer(vec, current, 1, layer)[0][1]]
-        ranked = self._search_layer(vec, current, max(ef_search, k), 0)
-        return [(node, float(np.sqrt(d))) for d, node in ranked[:k]]
+        diff = np.stack([e.vector for e in self.entries]) - vec
+        dists = np.sqrt((diff * diff).sum(axis=1))
+        order = np.argsort(dists, kind="stable")[:k]
+        return [(int(i), float(dists[i])) for i in order]
 
     def function_entries(self, function_key) -> list:
         return [self.entries[i] for i in self._groups.get(function_key, ())]
 
 
 def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
-                   threshold: float = 0.1, ef_search: int = 64,
-                   candidate_k: int = 32) -> list:
+                   threshold: float = 0.1) -> list:
     """Decision rule: a stored defective function matches when its
     selector equals the query's and every query block vector has a stored
-    block vector within ``threshold`` (greedy nearest, with replacement)."""
+    block vector within ``threshold`` (greedy nearest, with replacement).
+    Every stored function under the query's selector is compared."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if not query_fn.block_vectors or len(index) == 0:
-        return []
-    if query_fn.selector is None:
+    if not query_fn.block_vectors or query_fn.selector is None:
         return []  # selector gate: anonymous functions cannot match labels
 
-    candidate_keys = []
-    seen = set()
-    for vec in query_fn.block_vectors:
-        for entry_id, _ in index.query(vec, k=candidate_k, ef_search=ef_search):
-            key = index.entries[entry_id].label.function_key
-            if key not in seen:
-                seen.add(key)
-                candidate_keys.append(key)
-
     findings = []
-    for key in candidate_keys:
-        entries = index.function_entries(key)
-        if not entries or entries[0].label.selector != query_fn.selector:
-            continue
-        stored = np.stack([e.vector for e in entries])
+    for key in index._by_selector.get(query_fn.selector, ()):
+        stored = np.stack([e.vector for e in index.function_entries(key)])
         distances = []
         for vec in query_fn.block_vectors:
             diff = stored - vec
@@ -300,27 +172,14 @@ def save_index(index: AnnIndex, path) -> None:
     payload = bytearray()
     for entry in index.entries:
         label = entry.label
-        payload += struct.pack("<Q", entry.entry_id)
         payload += _pack_str(label.contract_name)
         payload += _pack_str(label.function_ref)
         payload += struct.pack("<B", len(label.selector)) + label.selector
         payload += struct.pack("<IB", label.block_id,
                                _DEFECT_CODES[label.defect_class])
         payload += entry.vector.astype("<f4").tobytes()
-    payload += struct.pack("<iq", index._max_level,
-                           -1 if index._entry_point is None else index._entry_point)
-    payload += struct.pack("<QQ", index.seed, index._level_draws)
-    for node in range(len(index.entries)):
-        payload += struct.pack("<H", index._levels[node])
-        layers = index._neighbors[node]
-        payload += struct.pack("<H", len(layers))
-        for layer in sorted(layers):
-            links = layers[layer]
-            payload += struct.pack("<HH", layer, len(links))
-            payload += struct.pack("<%dQ" % len(links), *links)
-    header = _MAGIC + struct.pack("<HHBHHQ", _VERSION, index.dim,
-                                  _METRIC_EUCLIDEAN, index.m,
-                                  index.ef_construction, len(index.entries))
+    header = _MAGIC + struct.pack("<HHBQ", _VERSION, index.dim,
+                                  _METRIC_EUCLIDEAN, len(index.entries))
     checksum = struct.pack("<I", zlib.crc32(bytes(payload)))
     with open(path, "wb") as fh:
         fh.write(header)
@@ -331,23 +190,21 @@ def save_index(index: AnnIndex, path) -> None:
 def load_index(path) -> AnnIndex:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 27 or data[:4] != _MAGIC:
+    if len(data) < 21 or data[:4] != _MAGIC:
         raise CorruptFile("bad index magic")
-    version, dim, metric, m, ef_construction, count = struct.unpack(
-        "<HHBHHQ", data[4:21])
+    version, dim, metric, count = struct.unpack("<HHBQ", data[4:17])
     if version != _VERSION:
         raise CorruptFile(f"unsupported index version {version}")
     if metric != _METRIC_EUCLIDEAN:
         raise CorruptFile(f"unknown metric code {metric}")
-    (checksum,) = struct.unpack("<I", data[21:25])
-    payload = data[25:]
+    (checksum,) = struct.unpack("<I", data[17:21])
+    payload = data[21:]
     if zlib.crc32(payload) != checksum:
         raise CorruptFile("index checksum mismatch")
 
     reader = _Reader(payload)
-    index = AnnIndex(dim, m=m, ef_construction=ef_construction)
+    index = AnnIndex(dim)
     for _ in range(count):
-        (entry_id,) = reader.unpack("<Q")
         contract = reader.string()
         function_ref = reader.string()
         (sel_len,) = reader.unpack("<B")
@@ -358,27 +215,7 @@ def load_index(path) -> AnnIndex:
         vec = np.frombuffer(reader.take(4 * dim), dtype="<f4").copy()
         label = EntryLabel(contract, function_ref, selector, block_id,
                            _DEFECT_FROM_CODE[defect_code])
-        entry = IndexEntry(entry_id, vec, label)
-        index.entries.append(entry)
-        index._append_vector(vec.astype(np.float32))
-        index._groups.setdefault(label.function_key, []).append(entry_id)
-    index._max_level, entry_point = reader.unpack("<iq")
-    index._entry_point = None if entry_point < 0 else entry_point
-    seed, draws = reader.unpack("<QQ")
-    index.seed = seed
-    index._rng = np.random.default_rng(seed)
-    for _ in range(draws):  # restore the generator position for later inserts
-        index._rng.random()
-    index._level_draws = draws
-    for _ in range(count):
-        (level,) = reader.unpack("<H")
-        index._levels.append(level)
-        (n_layers,) = reader.unpack("<H")
-        layers = {}
-        for _ in range(n_layers):
-            layer, n_links = reader.unpack("<HH")
-            layers[layer] = list(reader.unpack("<%dQ" % n_links))
-        index._neighbors.append(layers)
+        index.insert(IndexEntry(0, vec, label))
     if reader.pos != len(payload):
         raise CorruptFile("trailing bytes in index file")
     return index

@@ -2,9 +2,9 @@
 
 Embed phase: analyze contracts, run the builtin reentrancy detector, merge
 external report records, and store block vectors of defective functions in
-the ANN index. Detect phase: analyze and embed every function of new
-contracts and query the index; no detectors run (that is the whole point of
-the cheaper second phase).
+the index. Detect phase: analyze and embed every function of new contracts
+and compare each with every stored function under its selector; no
+detectors run (that is the whole point of the cheaper second phase).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .cfg import ContractAnalysis, analyze_contract, enumerate_paths
-from .detectors import (DefectClass, detect_bypass_reentrancy, map_report,
-                        parse_report_file)
+from .detectors import detect_bypass_reentrancy, map_report, parse_report_file
 from .encoder import (EmbeddingConfig, Vocabulary, embed_function,
                       load_vocabulary, save_vocabulary, train_vocabulary)
 from .encoder.params import init_params
@@ -51,8 +50,6 @@ class PipelineConfig:
     use_graph: bool = True
     allow_no_stages: bool = False
     workers: int = 1
-    store_all: bool = False
-    ef_search: int = 64
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -214,8 +211,7 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
         vocab = Vocabulary({}, config.embedding.word_dim, b"\x00" * 32)
     params = init_params(config.embedding)
 
-    index = AnnIndex(config.embedding.block_dim,
-                     ef_construction=200, m=16, seed=config.embedding.seed)
+    index = AnnIndex(config.embedding.block_dim)
 
     to_embed: list = []  # (analyzed, fn index, function_ref, DefectClass)
     for a, i, record in builtin:
@@ -232,16 +228,10 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
         if hit is not None:
             to_embed.append((hit[0], hit[1], md.record.function_signature,
                              md.record.defect_class))
-    if config.store_all:
-        labeled = {(id(a), i) for a, i, _, _ in to_embed}
-        for a in analyzed:
-            for i, fn in enumerate(a.analysis.functions):
-                if (id(a), i) not in labeled and fn.selector is not None:
-                    to_embed.append((a, i, "0x" + fn.selector.hex(), None))
 
     # deterministic insertion order
     to_embed.sort(key=lambda item: (item[0].name, item[1], item[2],
-                                    item[3].value if item[3] else ""))
+                                    item[3].value))
     stored_functions = 0
     embed_ms = 0.0
     seen_functions = set()
@@ -259,10 +249,9 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
                              use_sequence=config.use_sequence,
                              use_graph=config.use_graph, encoded=encoded)
         embed_ms += (time.perf_counter() - t0) * 1e3
-        defect_class = defect or DefectClass.BypassAuthReentrancy
         for block_id, vec in enumerate(emb.block_vectors):
             label = EntryLabel(a.name, ref, fn.selector or b"",
-                               block_id, defect_class)
+                               block_id, defect)
             index.insert(IndexEntry(0, vec, label))
         stored_functions += 1
 
@@ -331,8 +320,7 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
         t0 = time.perf_counter()
         for emb in embeddings:
             result.findings.extend(decide_similar(
-                emb, index, threshold=config.threshold,
-                ef_search=config.ef_search))
+                emb, index, threshold=config.threshold))
         result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
         result.counters = {"paths_truncated": truncated,
                            "paths_encoded": len(encoded),

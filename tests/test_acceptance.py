@@ -21,9 +21,9 @@ from deltascan import (AnnIndex, EntryLabel, IndexEntry, analyze_contract,
                        train_vocabulary)
 from deltascan.cfg import partition_blocks, resolve_edges
 from deltascan.detectors import DefectClass
-from deltascan.encoder import (EmbeddingConfig, InstructionGraph,
-                               PathEmbedding, embed_path, encode_graph,
-                               encode_sequences, pool_block)
+from deltascan.encoder import (EmbeddingConfig, FunctionEmbedding,
+                               InstructionGraph, PathEmbedding, embed_path,
+                               encode_graph, encode_sequences, pool_block)
 from deltascan.encoder.params import init_params
 from deltascan.evm import assemble
 from deltascan.pipeline import PipelineConfig, cmd_detect, cmd_embed
@@ -210,41 +210,76 @@ def test_criterion_07_reentrancy_detector_fixtures():
              flagged and clean and monotone)
 
 
-def test_criterion_08_ann_recall_and_persistence(tmp_path):
+def test_criterion_08_exact_decision_and_persistence(tmp_path):
+    # 6 selector buckets of 60 functions each; every function stores 1-4
+    # blocks of one of 4 shared bodies (norms about 1.5, as block vectors
+    # have), so equal bodies recur under every selector
     rng = np.random.default_rng(88)
-    centers = rng.standard_normal((200, 128)) * 3.0
-    assign = rng.integers(0, 200, size=10_000)
-    vectors = (centers[assign] +
-               0.4 * rng.standard_normal((10_000, 128))).astype(np.float32)
-    index = AnnIndex(128, m=16, ef_construction=200, seed=42)
-    label = EntryLabel("c", "f()", b"\x00" * 4, 0,
-                       DefectClass.BypassAuthReentrancy)
-    for v in vectors:
-        index.insert(IndexEntry(0, v, label))
+    selectors = [bytes([0xA0, 0, 0, s]) for s in range(6)]
+    bodies = (0.13 * rng.standard_normal((4, 4, 128))).astype(np.float32)
+    defects = list(DefectClass)
+    index = AnnIndex(128)
+    for sel in selectors:
+        for j in range(60):
+            body, blocks = rng.integers(4), rng.integers(1, 5)
+            sigma = rng.choice([0.0, 0.002, 0.05])
+            label = (f"c{sel[-1]}_{j}", f"f{j}()", defects[j % 3])
+            for b in range(blocks):
+                vec = bodies[body, b] + sigma * rng.standard_normal(128)
+                index.insert(IndexEntry(0, vec.astype(np.float32), EntryLabel(
+                    label[0], label[1], sel, b, label[2])))
+    stored = np.stack([e.vector for e in index.entries]).astype(np.float64)
+    keys = [(e.label.selector,) + e.label.function_key for e in index.entries]
 
-    probes = vectors[rng.integers(0, 10_000, size=200)] + \
-        0.05 * rng.standard_normal((200, 128)).astype(np.float32)
-    hit1 = hit10 = 0
-    for probe in probes:
-        exact = np.linalg.norm(vectors - probe.astype(np.float32), axis=1)
-        truth10 = set(np.argsort(exact)[:10].tolist())
-        truth1 = int(np.argmin(exact))
-        got = index.query(probe.astype(np.float32), k=10, ef_search=64)
-        got_ids = [i for i, _ in got]
-        hit1 += int(got_ids[0] == truth1)
-        hit10 += len(set(got_ids) & truth10) / 10
-    recall1, recall10 = hit1 / 200, hit10 / 200
+    queries = []
+    for q in range(120):
+        body, blocks = rng.integers(4), rng.integers(1, 5)
+        vecs = bodies[body, :blocks] + rng.choice([0.0, 0.002, 0.004]) * \
+            rng.standard_normal((blocks, 128))
+        queries.append(FunctionEmbedding(
+            (b"q", q), selectors[q % 6], tuple(vecs.astype(np.float32))))
 
-    path = tmp_path / "big.idx"
+    def brute(query):
+        # max over query blocks of the min distance to a stored function's
+        # blocks, for every stored function under the query's selector
+        gaps = np.sqrt(((np.stack(query.block_vectors)[:, None, :]
+                         .astype(np.float64) - stored[None]) ** 2).sum(axis=2))
+        worst = {}
+        for key in dict.fromkeys(k for k in keys if k[0] == query.selector):
+            cols = [i for i, k in enumerate(keys) if k == key]
+            worst[key[1:]] = float(gaps[:, cols].min(axis=1).max())
+        return worst
+
+    threshold = 0.1
+    started = time.perf_counter()
+    exact, matches, max_err = True, 0, 0.0
+    near = []
+    for query in queries:
+        worst = brute(query)
+        near += [d for d in worst.values() if abs(d - threshold) < 0.02]
+        want = {k: d for k, d in worst.items() if d <= threshold}
+        got = {(f.matched_contract, f.matched_function, f.defect_class):
+               f.max_block_distance
+               for f in decide_similar(query, index, threshold)}
+        exact &= set(got) == set(want)
+        max_err = max([max_err] + [abs(got[k] - want[k])
+                                   for k in set(got) & set(want)])
+        matches += len(want)
+
+    path = tmp_path / "exact.idx"
     save_index(index, path)
     loaded = load_index(path)
-    equivalent = all(
-        index.query(p.astype(np.float32), k=5) ==
-        loaded.query(p.astype(np.float32), k=5) for p in probes[:20])
-    ok = recall1 >= 0.99 and recall10 >= 0.95 and equivalent
-    _verdict(8, "ANN recall and save/load equivalence", ok,
-             f"recall@1 {recall1:.3f}>=0.99, recall@10 {recall10:.3f}>=0.95, "
-             f"20-probe round-trip {'ok' if equivalent else 'BROKEN'}")
+    equivalent = all(decide_similar(q, index, threshold) ==
+                     decide_similar(q, loaded, threshold) for q in queries)
+    elapsed = time.perf_counter() - started
+    ok = (exact and max_err <= 1e-5 and equivalent and matches > 0
+          and not near and elapsed < 10.0)
+    _verdict(8, "exact same-selector decision and save/load equivalence", ok,
+             f"{len(queries)} queries over 360 functions in 6 selectors, "
+             f"{matches} matches {'equal to' if exact else 'UNLIKE'} brute "
+             f"force, max |d - brute| {max_err:.1e} <= 1e-5, "
+             f"{len(near)} distances near the threshold, round-trip "
+             f"{'ok' if equivalent else 'BROKEN'}, {elapsed:.2f}s (< 10s)")
 
 
 @pytest.fixture(scope="module")

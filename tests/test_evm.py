@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from deltascan.cfg import partition_blocks
+from deltascan.encoder.embed import _block_tokens
 from deltascan.evm import (MNEMONICS, OPCODES, assemble, disassemble,
                            parse_hex_input, reserialize, strip_metadata)
 from fixtures import solc_metadata
@@ -132,5 +134,6 @@ def test_assemble_helper_round_trips():
 
 
 def test_tokens_are_mnemonics():
-    program = disassemble(bytes.fromhex("6001600201"))
-    assert program.tokens() == ["PUSH1", "PUSH1", "ADD"]
+    # the encoder's tokens: one mnemonic per instruction, immediates dropped
+    (block,) = partition_blocks(disassemble(bytes.fromhex("6001600201")))
+    assert _block_tokens(block) == ["PUSH1", "PUSH1", "ADD"]

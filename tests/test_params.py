@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from deltascan.encoder import EmbeddingConfig, load_params, save_params
+from deltascan.encoder import EmbeddingConfig
 from deltascan.encoder.params import init_params
-from deltascan.errors import CorruptFile
 
 
 def _flat_arrays(params):
@@ -46,29 +45,6 @@ def test_shapes(config, params):
     assert set(params.pool) == {config.word_dim, config.seq_dim,
                                 config.graph_dim}
     assert set(params.block_proj) == {config.word_dim, config.seq_dim}
-
-
-def test_save_load_regenerates_identical_params(tmp_path, config, params):
-    path = tmp_path / "enc.dsep"
-    save_params(params, path)
-    loaded = load_params(path)
-    assert loaded.config == config
-    for x, y in zip(_flat_arrays(params), _flat_arrays(loaded)):
-        assert x.tobytes() == y.tobytes()
-
-
-def test_load_rejects_corrupt(tmp_path, params):
-    path = tmp_path / "enc.dsep"
-    save_params(params, path)
-    raw = path.read_bytes()
-    bad = tmp_path / "bad.dsep"
-    bad.write_bytes(b"ZZZZ" + raw[4:])
-    with pytest.raises(CorruptFile):
-        load_params(bad)
-    short = tmp_path / "short.dsep"
-    short.write_bytes(raw[:16])
-    with pytest.raises(CorruptFile):
-        load_params(short)
 
 
 def test_config_validation():

@@ -77,3 +77,11 @@ def test_load_rejects_corrupt_files(tmp_path, small_vocab):
     (tmp_path / "truncated").write_bytes(raw[:len(raw) // 2])
     with pytest.raises(CorruptFile):
         load_vocabulary(tmp_path / "truncated")
+    flipped = bytearray(raw)
+    flipped[-33] ^= 0x01  # last vector byte, just before the corpus digest
+    (tmp_path / "flipped").write_bytes(bytes(flipped))
+    with pytest.raises(CorruptFile):
+        load_vocabulary(tmp_path / "flipped")
+    (tmp_path / "trailing").write_bytes(raw + b"\x00")
+    with pytest.raises(CorruptFile):
+        load_vocabulary(tmp_path / "trailing")
