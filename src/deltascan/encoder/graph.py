@@ -76,30 +76,29 @@ def _leaky_relu(x):
     return np.where(x > 0, x, _LEAKY_SLOPE * x).astype(np.float32)
 
 
-def _gat_layer(x, src, dst, layer, average_heads):
-    heads = layer["w"].shape[0]
-    outputs = []
-    for h in range(heads):
-        proj = x @ layer["w"][h]                     # (N, dh)
-        score_src = proj @ layer["a_src"][h]         # (N,)
-        score_dst = proj @ layer["a_dst"][h]
-        edge_score = _leaky_relu(score_src[src] + score_dst[dst])
+def _gat_layer(x, src, dst, starts, layer, average_heads):
+    """One attention layer, all heads at once. The edges are sorted by
+    ``dst`` and ``starts[i]`` is where node ``i``'s in-edges begin; every
+    node has a self-loop, so no segment is empty."""
+    heads, d_in, head_dim = layer["w"].shape
+    n = x.shape[0]
+    w = layer["w"].transpose(1, 0, 2).reshape(d_in, heads * head_dim)
+    proj = (x @ w).reshape(n, heads, head_dim)
+    score_src = np.einsum("nhd,hd->nh", proj, layer["a_src"])
+    score_dst = np.einsum("nhd,hd->nh", proj, layer["a_dst"])
+    edge_score = _leaky_relu(score_src[src] + score_dst[dst])   # (E, H)
 
-        # softmax over each node's in-edges
-        n = x.shape[0]
-        seg_max = np.full(n, -np.inf, dtype=np.float32)
-        np.maximum.at(seg_max, dst, edge_score)
-        exp_score = np.exp(edge_score - seg_max[dst])
-        denom = np.zeros(n, dtype=np.float32)
-        np.add.at(denom, dst, exp_score)
-        coeff = exp_score / denom[dst]
+    # softmax over each node's in-edges
+    seg_max = np.maximum.reduceat(edge_score, starts, axis=0)
+    exp_score = np.exp(edge_score - seg_max[dst])
+    denom = np.add.reduceat(exp_score, starts, axis=0)
+    coeff = exp_score / denom[dst]
 
-        agg = np.zeros_like(proj)
-        np.add.at(agg, dst, coeff[:, None] * proj[src])
-        outputs.append(_elu(agg))
+    agg = np.add.reduceat(coeff[:, :, None] * proj[src], starts, axis=0)
+    out = _elu(agg)                                             # (N, H, dh)
     if average_heads:
-        return np.mean(outputs, axis=0).astype(np.float32)
-    return np.concatenate(outputs, axis=1)
+        return out.mean(axis=1)
+    return out.reshape(n, heads * head_dim)
 
 
 def encode_graph(graph: InstructionGraph, params: EncoderParams,
@@ -113,13 +112,18 @@ def encode_graph(graph: InstructionGraph, params: EncoderParams,
         raise DimensionMismatch("graph has no nodes")
     if x.shape[1] != config.seq_dim:
         raise DimensionMismatch(f"node dim {x.shape[1]} != {config.seq_dim}")
-    pairs = list(graph.edges_cfg) + list(graph.edges_seq)
-    pairs += [(i, i) for i in range(n)]  # self-loops
-    src = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    dst = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    edges = np.array(graph.edges_cfg + graph.edges_seq,
+                     dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(n, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], loops])
+    dst = np.concatenate([edges[:, 1], loops])
+    # group the edges by destination, keeping their order within a group
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    starts = np.searchsorted(dst, loops)
     last = len(params.gat_layers) - 1
     for idx, layer in enumerate(params.gat_layers):
-        x = _gat_layer(x, src, dst, layer, average_heads=(idx == last))
+        x = _gat_layer(x, src, dst, starts, layer, average_heads=(idx == last))
     return x
 
 

@@ -24,16 +24,16 @@ def _uniform(rng, shape, fan_in):
 
 
 def _orthogonal_features(rng, num_features: int, dim: int) -> np.ndarray:
-    """Block-orthogonal Gaussian rows (num_features x dim), norms chi(dim)."""
-    blocks = []
-    remaining = num_features
-    while remaining > 0:
-        gauss = rng.standard_normal((dim, dim))
-        q, _ = np.linalg.qr(gauss)
-        norms = np.linalg.norm(rng.standard_normal((dim, dim)), axis=1)
-        blocks.append(q * norms[:, None])
-        remaining -= dim
-    return np.concatenate(blocks, axis=0)[:num_features].astype(np.float32)
+    """Block-orthogonal Gaussian rows (num_features x dim), norms chi(dim).
+    Each (dim x dim) block is the Q factor of one Gaussian matrix with its
+    rows scaled by the row norms of a second. Both are drawn block by
+    block, Q source first, in one array, and all blocks go through one
+    stacked QR."""
+    blocks = (num_features + dim - 1) // dim
+    gauss = rng.standard_normal((blocks, 2, dim, dim))
+    q, _ = np.linalg.qr(gauss[:, 0])
+    rows = q * np.linalg.norm(gauss[:, 1], axis=-1)[..., None]
+    return rows.reshape(blocks * dim, dim)[:num_features].astype(np.float32)
 
 
 @dataclass(frozen=True)

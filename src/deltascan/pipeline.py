@@ -324,6 +324,7 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
         result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
         result.counters = {"paths_truncated": truncated,
                            "paths_encoded": len(encoded),
+                           "paths_capped": a.hit_cap,
                            "fallback_blocks": fallback,
                            "functions_embedded": len(embeddings)}
         return result

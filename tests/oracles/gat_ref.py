@@ -1,7 +1,7 @@
 """Dense-matrix reference for the graph attention update (Eq.-style):
-explicit NxN masked attention matrices instead of scatter ops. Takes the
-same weight arrays as the implementation under test but shares no code
-with it.
+explicit NxN masked attention matrices instead of per-edge segment
+reductions. Takes the same weight arrays as the implementation under test
+but shares no code with it.
 """
 
 import numpy as np

@@ -71,6 +71,27 @@ def test_encode_graph_matches_dense_oracle(params, config):
         assert np.abs(ours - ref).max() <= 1e-5
 
 
+def test_encode_graph_high_fan_in_unsorted_edges(params, config):
+    """A JUMPDEST reached by a dynamic JUMP: one node with 91 in-edges,
+    edges listed out of dst order, and a node with no edges at all."""
+    rng = np.random.default_rng(12)
+    n, hub, isolated = 100, 95, 99
+    feats = rng.standard_normal((n, config.seq_dim)).astype(np.float32)
+    edges = [(i, hub) for i in range(90)]
+    edges += [(i, i + 1) for i in range(90, 98)]
+    edges += [(hub, i) for i in range(0, 90, 9)]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    assert [d for _, d in edges] != sorted(d for _, d in edges)
+    assert all(isolated not in edge for edge in edges)
+    half = len(edges) // 2
+    graph = InstructionGraph(feats, ((0, n),), tuple(edges[:half]),
+                             tuple(edges[half:]))
+    ours = encode_graph(graph, params, config)
+    ref = dense_gat(feats, edges, params.gat_layers)
+    assert ours.shape == (n, config.graph_dim)
+    assert np.abs(ours - ref).max() <= 1e-5
+
+
 def test_encode_graph_unit_basis_chain(params, config):
     feats = np.zeros((3, config.seq_dim), dtype=np.float32)
     feats[0, 0] = feats[1, 1] = feats[2, 2] = 1.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,27 @@ def test_same_seed_reproduces_weights_bit_exactly(config):
     a, b = init_params(config), init_params(config)
     for x, y in zip(_flat_arrays(a), _flat_arrays(b)):
         assert x.tobytes() == y.tobytes()
+
+
+def test_init_params_digest_is_pinned():
+    """The frozen weights, byte for byte: input projection and bias, the
+    no-sequence projection, each sequence then each GAT layer by sorted
+    key, pooling by sorted dim as (W, a), block projections by sorted
+    dim. A change to the draw order, the orthogonal features or a dtype
+    changes this digest."""
+    params = init_params(EmbeddingConfig())
+    arrays = [params.input_proj, params.input_bias, params.word_to_seq]
+    for layer in params.seq_layers + params.gat_layers:
+        arrays += [layer[key] for key in sorted(layer)]
+    for dim in sorted(params.pool):
+        arrays += params.pool[dim]
+    arrays += [params.block_proj[dim] for dim in sorted(params.block_proj)]
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    assert len(arrays) == 98
+    assert digest.hexdigest() == (
+        "002114ba75bd68bffaeb7587aaebe22606aecaf4a683a5bd3e715f11fb2d8cde")
 
 
 def test_different_seed_differs(config):

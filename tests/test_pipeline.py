@@ -1,6 +1,7 @@
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,24 @@ def test_detect_counts_distinct_paths_encoded(built_index, tmp_path):
              for fn in analyze_contract(code).functions
              for p in enumerate_paths(fn, config.max_paths).paths]
     assert res.counters["paths_encoded"] == len(set(paths)) < len(paths)
+
+
+def test_detect_counts_functions_at_path_cap(built_index, tmp_path):
+    config, _ = built_index
+    code = build_contract([("approve(address,uint256)", setter_body(1)),
+                           ("setApprovalForAll(address,bool)", setter_body(3)),
+                           ("owner()", getter_body(3))])
+    target = tmp_path / "branchy.bin"
+    target.write_bytes(code)
+    (res,) = cmd_detect(config, [str(target)])
+    assert res.counters["paths_capped"] == 0
+    capped = replace(config, max_paths=1)
+    functions = analyze_contract(code).functions
+    over = sum(len(enumerate_paths(fn, config.max_paths).paths) > 1
+               for fn in functions)
+    assert over == 2
+    (res,) = cmd_detect(capped, [str(target)])
+    assert res.counters["paths_capped"] == over
 
 
 def test_detect_never_runs_detectors(built_index, corpus_dir, monkeypatch):
