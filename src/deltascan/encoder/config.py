@@ -21,8 +21,6 @@ class EmbeddingConfig:
     m_max: int = 512
     pool_hidden: int = 64
     seed: int = 42
-    # positive random features per attention head (softmax approximation)
-    num_random_features: int = 512
     ff_dim: int = 192
 
     def __post_init__(self):

@@ -1,12 +1,12 @@
 """Frozen encoder weights.
 
 No training happens anywhere: every matrix is drawn once from a seeded
-generator (uniform scaled by 1/sqrt(fan_in); attention random-feature
-matrices are block-orthogonal Gaussian) and never updated, so outputs are
-bit-reproducible for equal (seed, config). Parameters for the ablation
-variants (pooling over 96- or 64-dim inputs, projections up to the block
-dimension) are drawn unconditionally so every variant shares one params
-object.
+generator (uniform scaled by 1/sqrt(fan_in)) and never updated, so
+outputs are bit-reproducible for equal (seed, config). Attention is exact
+softmax, so a sequence layer holds only its projection, feed-forward and
+layer-norm arrays. Parameters for the ablation variants (pooling over 96-
+or 64-dim inputs, projections up to the block dimension) are drawn
+unconditionally so every variant shares one params object.
 """
 
 from __future__ import annotations
@@ -21,19 +21,6 @@ from .config import EmbeddingConfig
 def _uniform(rng, shape, fan_in):
     scale = 1.0 / np.sqrt(fan_in)
     return ((rng.random(shape) * 2.0 - 1.0) * scale).astype(np.float32)
-
-
-def _orthogonal_features(rng, num_features: int, dim: int) -> np.ndarray:
-    """Block-orthogonal Gaussian rows (num_features x dim), norms chi(dim).
-    Each (dim x dim) block is the Q factor of one Gaussian matrix with its
-    rows scaled by the row norms of a second. Both are drawn block by
-    block, Q source first, in one array, and all blocks go through one
-    stacked QR."""
-    blocks = (num_features + dim - 1) // dim
-    gauss = rng.standard_normal((blocks, 2, dim, dim))
-    q, _ = np.linalg.qr(gauss[:, 0])
-    rows = q * np.linalg.norm(gauss[:, 1], axis=-1)[..., None]
-    return rows.reshape(blocks * dim, dim)[:num_features].astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,6 @@ def init_params(config: EmbeddingConfig | None = None,
         seed = config.seed
     rng = np.random.default_rng(seed)
     d_s, d_w, d_g = config.seq_dim, config.word_dim, config.graph_dim
-    head_dim = d_s // config.seq_heads
 
     input_proj = _uniform(rng, (d_w, d_s), d_w)
     input_bias = np.zeros(d_s, dtype=np.float32)
@@ -68,9 +54,6 @@ def init_params(config: EmbeddingConfig | None = None,
             "wk": _uniform(rng, (d_s, d_s), d_s),
             "wv": _uniform(rng, (d_s, d_s), d_s),
             "wo": _uniform(rng, (d_s, d_s), d_s),
-            "omega": np.stack([
-                _orthogonal_features(rng, config.num_random_features, head_dim)
-                for _ in range(config.seq_heads)]),
             "w1": _uniform(rng, (d_s, config.ff_dim), d_s),
             "b1": np.zeros(config.ff_dim, dtype=np.float32),
             "w2": _uniform(rng, (config.ff_dim, d_s), config.ff_dim),

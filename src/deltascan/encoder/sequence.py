@@ -1,21 +1,18 @@
 """Path embedding and the frozen sequence encoder.
 
-The encoder is a 6-layer multi-head attention stack whose softmax kernel is
-approximated with positive orthogonal random features (linear attention),
-plus position-wise feed-forward blocks, residual connections, and layer
-normalization.
+The encoder is a 6-layer multi-head attention stack with exact softmax
+attention, plus position-wise feed-forward blocks, residual connections,
+and layer normalization.
 
 A batch is encoded packed: the valid rows of its paths are laid end to end
 in one (T, d) array, with no padding, and each path is a segment of it.
 The projections, layer norms and feed-forward blocks run per row on the
-whole pack. Attention never forms the (L, L) matrix: per layer and head it
-computes the logits q.omega^T and k.omega^T for the pack as matmuls, then
-per segment turns them in place into the positive features
-exp(w.x - |x|^2/2 - C), C the maximum over the segment, and takes
-phi_q (phi_k^T v) over phi_q (phi_k^T 1) + eps, again as matmuls (the
-features' usual 1/sqrt(m) factor cancels in the ratio and scales eps
-instead). A path's encoding depends on its own rows only, bit for bit, so
-it is the same in any batch.
+whole pack. Attention runs per segment: for a segment of L rows it forms
+the (heads, L, L) scores q k^T / sqrt(dh), turns them in place into
+softmax weights (row max subtracted, exp, divided by the row sum) and
+multiplies them by v. Paths are at most m_max = 512 tokens long, so the
+largest scores array is (8, 512, 512) float32, 8 MB. A path's encoding
+depends on its own rows only, bit for bit, so it is the same in any batch.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .config import EmbeddingConfig
 from .params import EncoderParams
 from .vocab import Vocabulary
 
-_EPS = np.float32(1e-6)
 _LN_EPS = np.float32(1e-5)
 
 
@@ -65,7 +61,7 @@ def _layer_norm(x, gain, bias):
 
 
 def _attention_layer(x, starts, lengths, layer, heads):
-    """Random-feature attention over packed segments.
+    """Exact softmax attention over packed segments.
 
     x is (T, d): the rows of every segment, end to end. A row attends only
     to rows of its own segment, which starts at ``starts[s]`` and holds
@@ -73,44 +69,22 @@ def _attention_layer(x, starts, lengths, layer, heads):
     """
     total, d = x.shape
     head_dim = d // heads
-    scale = np.float32(head_dim ** -0.25)
 
     def split(mat):
         return (x @ mat).reshape(total, heads, head_dim).transpose(1, 0, 2)
 
-    q = split(layer["wq"]) * scale  # (h, T, dh)
-    k = split(layer["wk"]) * scale
+    q = split(layer["wq"]) * np.float32(head_dim ** -0.5)  # (h, T, dh)
+    k = split(layer["wk"])
     v = split(layer["wv"])
 
-    # phi_q, phi_k start as the logits w.x and become the features in place,
-    # so only these two (h, T, m) arrays are alive at once
-    omega_t = layer["omega"].transpose(0, 2, 1)  # (h, dh, m)
-    phi_q = q @ omega_t
-    phi_k = k @ omega_t
-    for phi, proj in ((phi_q, q), (phi_k, k)):
-        phi -= 0.5 * (proj * proj).sum(-1)[..., None]
-
-    # [v | 1]: phi_k^T [v | 1] holds kv and z, phi_q of it numer and denom;
-    # the features' 1/sqrt(m) factors cancel in numer / denom, so they scale
-    # the denominator's epsilon instead
-    v_ones = np.concatenate(
-        (v, np.ones((heads, total, 1), dtype=np.float32)), axis=2)
-    eps = _EPS * np.float32(phi_q.shape[-1])
     out = np.empty((total, heads, head_dim), dtype=np.float32)
     for start, length in zip(starts, lengths):
         rows = slice(start, start + length)
-        phi_q_s, phi_k_s = phi_q[:, rows], phi_k[:, rows]
-        # exp(w.x - |x|^2/2 - C), C the max over the segment's rows of both
-        # maps and all features, per head
-        stabilizer = np.maximum(phi_q_s.max(axis=(1, 2)),
-                                phi_k_s.max(axis=(1, 2)))[:, None, None]
-        for phi in (phi_q_s, phi_k_s):
-            phi -= stabilizer
-            np.exp(phi, out=phi)
-        kvz = phi_k_s.transpose(0, 2, 1) @ v_ones[:, rows]  # (h, m, dh + 1)
-        numer_denom = phi_q_s @ kvz  # (h, L, dh + 1)
-        out[rows] = (numer_denom[..., :head_dim]
-                     / (numer_denom[..., head_dim:] + eps)).transpose(1, 0, 2)
+        scores = q[:, rows] @ k[:, rows].transpose(0, 2, 1)  # (h, L, L)
+        scores -= scores.max(axis=2, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=2, keepdims=True)
+        out[rows] = (scores @ v[:, rows]).transpose(1, 0, 2)
     return out.reshape(total, d) @ layer["wo"]
 
 

@@ -25,7 +25,10 @@ __all__ = ["EntryLabel", "IndexEntry", "AnnIndex", "Finding", "decide_similar",
            "save_index", "load_index"]
 
 _MAGIC = b"DSIX"
-_VERSION = 2
+# 3: the sequence encoder computes exact softmax attention. Stored vectors
+# are only meaningful under the encoder that made them, so files written
+# by an earlier encoder are refused rather than matched against.
+_VERSION = 3
 _METRIC_EUCLIDEAN = 1
 
 _DEFECT_CODES = {cls: i for i, cls in enumerate(DefectClass)}

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from deltascan.cfg import analyze_contract, extract_paths
-from deltascan.encoder import embed, embed_function
+from deltascan.encoder import embed, embed_function, train_vocabulary
 from deltascan.encoder.params import init_params
+from deltascan.encoder.vocab import Vocabulary
 from deltascan.errors import EmptyFunction
-from fixtures import build_contract, setter_body, vulnerable_mint_body
+from fixtures import (MINT_SIGNATURE, build_contract, cei_mint_body,
+                      getter_body, loop_body, make_corpus, setter_body,
+                      vulnerable_mint_body)
 from oracles.attention_ref import encode_reference
 
 
@@ -118,8 +121,8 @@ def test_embedding_independent_of_other_functions(small_vocab, params, config):
         assert va.tobytes() == vb.tobytes()
 
 
-def test_block_vectors_match_einsum_oracle(small_vocab, params, config,
-                                           monkeypatch):
+def test_block_vectors_match_oracle(small_vocab, params, config,
+                                    monkeypatch):
     """Encoder rewrites keep block vectors within 1e-5 of the reference."""
     code = build_contract([("approve(address,uint256)", setter_body(1))])
     fn, emb = _embed(code, small_vocab, params, config)
@@ -128,6 +131,66 @@ def test_block_vectors_match_einsum_oracle(small_vocab, params, config,
     assert len(emb.block_vectors) == len(fn.blocks) > 1
     for a, b in zip(emb.block_vectors, ref.block_vectors):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-5)
+
+
+def test_block_vectors_are_pinned(params, config):
+    """Golden block vectors of the guarded setter under the full encoder:
+    each block's norm and first four components. Word vectors are seeded,
+    not trained, so only the encoder's numerics move this pin; a change
+    to them must update it on purpose."""
+    fn = analyze_contract(build_contract(
+        [("approve(address,uint256)", setter_body(1))])).functions[0]
+    tokens = sorted({ins.opcode.mnemonic for block in fn.blocks
+                     for ins in block.instructions})
+    rng = np.random.default_rng(0)
+    vocab = Vocabulary({t: rng.standard_normal(config.word_dim)
+                        .astype(np.float32) for t in tokens},
+                       config.word_dim, b"")
+    emb = embed_function(fn, extract_paths(fn), vocab, params, config)
+    golden = [
+        (1.217757, [-0.0123, -0.08284, 0.232287, -0.159222]),
+        (0.946413, [0.016841, -0.044035, 0.121874, -0.083968]),
+        (1.04475, [0.026197, -0.051311, 0.173162, -0.147315]),
+    ]
+    assert len(emb.block_vectors) == len(golden)
+    for vec, (norm, head) in zip(emb.block_vectors, golden):
+        np.testing.assert_allclose(np.linalg.norm(vec), norm, rtol=0,
+                                   atol=1e-5)
+        np.testing.assert_allclose(vec[:4], head, rtol=0, atol=1e-5)
+
+
+def test_mint_selector_discrimination(params, config):
+    """Under the mint selector, the full encoder's distance from the
+    vulnerable mint (max over a body's blocks of the distance to the
+    nearest vulnerable block, as the decision rule measures it) is 0 for a
+    clone at another slot and rises from CEI to getter to setter to loop.
+    CEI and the getter still fall within the default threshold 0.1."""
+    corpus = []
+    for _, _, code in make_corpus(3, seed=7):
+        for fn in analyze_contract(code).functions:
+            corpus += [[ins.opcode.mnemonic for bid in path.blocks
+                        for ins in fn.blocks[bid].instructions]
+                       for path in extract_paths(fn)]
+    vocab = train_vocabulary(corpus, config)
+
+    def blocks(body):
+        fn = analyze_contract(build_contract(
+            [(MINT_SIGNATURE, body)])).functions[0]
+        return embed_function(fn, extract_paths(fn), vocab, params,
+                              config).block_vectors
+
+    vulnerable = np.stack(blocks(vulnerable_mint_body(5)))
+    distance = {}
+    for name, body in [("clone", vulnerable_mint_body(9)),
+                       ("cei", cei_mint_body(5)), ("getter", getter_body(5)),
+                       ("setter", setter_body(5)), ("loop", loop_body(3))]:
+        distance[name] = max(
+            float(np.sqrt(((vulnerable - vec) ** 2).sum(axis=1).min()))
+            for vec in blocks(body))
+    assert distance["clone"] == 0.0
+    assert (distance["cei"] < distance["getter"] < distance["setter"]
+            < distance["loop"])
+    assert distance["setter"] > 0.1 and distance["loop"] > 0.1
 
 
 def test_shared_dict_encodes_each_distinct_path_once(small_vocab, params,

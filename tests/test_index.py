@@ -162,13 +162,23 @@ def test_corrupt_files_rejected(tmp_path):
 
 
 def test_version_1_file_rejected(tmp_path):
-    # the HNSW-graph layout: magic, <HHBHHQ header, CRC-32, entries, graph
+    """Versions 1 and 2 hold vectors of earlier encoders and are refused."""
+    # version 1, the HNSW-graph layout: magic, <HHBHHQ header, CRC-32,
+    # entries, graph
     payload = struct.pack("<iqQQ", -1, -1, 42, 0)
     old = tmp_path / "v1.idx"
     old.write_bytes(b"DSIX" + struct.pack("<HHBHHQ", 1, DIM, 1, 16, 200, 0) +
                     struct.pack("<I", zlib.crc32(payload)) + payload)
     with pytest.raises(CorruptFile, match="unsupported index version 1"):
         load_index(old)
+    # version 2, the current layout written by the random-feature encoder
+    path = tmp_path / "v2.idx"
+    save_index(_populated_index([[1.0, 0.0], [0.0, 1.0]]), path)
+    data = bytearray(path.read_bytes())
+    data[4:6] = struct.pack("<H", 2)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptFile, match="unsupported index version 2"):
+        load_index(path)
 
 
 def _query_fn(vectors, selector=b"\x40\xc1\x0f\x19"):
