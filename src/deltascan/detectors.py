@@ -161,15 +161,21 @@ def _storage_key(instructions, idx):
 
 
 def detect_bypass_reentrancy(cfg: FunctionCfg, max_paths: int = 64,
-                             contract_name: str = "") -> list:
+                             contract_name: str = "", paths=None) -> list:
     """Flag functions that read storage, make an external call, and only
-    then write one of the keys read before the call (CEI violation)."""
+    then write one of the keys read before the call (CEI violation).
+
+    ``paths`` are the function's execution paths when the caller already
+    holds them (``enumerate_paths(cfg, max_paths).paths``); otherwise they
+    are enumerated here."""
     if not contract_name:
         code_hash = cfg.function_id[0]
         contract_name = code_hash.hex()[:16] if code_hash else "anonymous"
     flagged = False
     evidence = None
-    for path in enumerate_paths(cfg, max_paths).paths:
+    if paths is None:
+        paths = enumerate_paths(cfg, max_paths).paths
+    for path in paths:
         instructions = [ins for bid in path.blocks
                         for ins in cfg.blocks[bid].instructions]
         pending = set()       # keys SLOADed and not yet written back

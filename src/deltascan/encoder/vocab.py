@@ -12,7 +12,9 @@ import hashlib
 import logging
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,6 +66,41 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
+def _window_pairs(ids, lengths, window):
+    """(center, context) id pairs within ``window`` positions inside each
+    sequence of the flat ``ids``, ordered sequence by sequence, then by
+    center, then by context position: the order the ``_MAX_PAIRS`` stride
+    samples from."""
+    pos = np.arange(ids.size)
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    end = np.repeat(np.cumsum(lengths), lengths)
+    ctx = pos[:, None] + np.concatenate([np.arange(-window, 0),
+                                         np.arange(1, window + 1)])
+    keep = (ctx >= first[:, None]) & (ctx < end[:, None])
+    centers = np.broadcast_to(ids[:, None], ctx.shape)[keep]
+    return centers, ids[ctx[keep]]
+
+
+def _add_rows(w, index, rows):
+    """``np.add.at(w, index, rows(np.arange(index.size)))``, bit for bit
+    except that, where NaNs of different payloads meet, the NaN kept may
+    differ.
+
+    ``rows(sel)`` returns a new float32 ``(sel.size, d)`` array holding the
+    updates at positions ``sel``. Each hit row of ``w`` takes its updates in
+    index order: the first update plus the current value, then a reduce
+    over axis 0 of the C-contiguous updates, which adds row after row.
+    ``np.add.reduceat`` does not give the same bits.
+    """
+    counts = np.bincount(index, minlength=w.shape[0])
+    ends = np.cumsum(counts)
+    order = np.argsort(index, kind="stable")
+    for r in np.flatnonzero(counts).tolist():
+        upd = rows(order[ends[r] - counts[r]:ends[r]])
+        upd[0] += w[r]
+        w[r] = np.add.reduce(upd, axis=0)
+
+
 def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Vocabulary:
     """Train skip-gram embeddings over token sequences.
 
@@ -74,10 +111,7 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Voc
     if not sequences:
         raise EmptyCorpus("no tokens in corpus")
 
-    counts: dict = {}
-    for seq in sequences:
-        for token in seq:
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(chain.from_iterable(sequences))
     tokens = sorted(counts, key=lambda t: (-counts[t], t))
     index = {t: i for i, t in enumerate(tokens)}
     vocab_size = len(tokens)
@@ -87,20 +121,10 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Voc
     w_in = ((rng.random((vocab_size, dim), dtype=np.float32) - 0.5) / dim)
     w_out = np.zeros((vocab_size, dim), dtype=np.float32)
 
-    # all (center, context) pairs inside the fixed window
-    centers, contexts = [], []
-    window = config.window
-    for seq in sequences:
-        ids = [index[t] for t in seq]
-        for pos, center in enumerate(ids):
-            lo = max(0, pos - window)
-            hi = min(len(ids), pos + window + 1)
-            for ctx_pos in range(lo, hi):
-                if ctx_pos != pos:
-                    centers.append(center)
-                    contexts.append(ids[ctx_pos])
-    centers = np.asarray(centers, dtype=np.int64)
-    contexts = np.asarray(contexts, dtype=np.int64)
+    ids = np.fromiter((index[t] for t in chain.from_iterable(sequences)),
+                      dtype=np.int64)
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64)
+    centers, contexts = _window_pairs(ids, lengths, config.window)
     if centers.size > _MAX_PAIRS:
         stride = centers.size / _MAX_PAIRS
         keep = (np.arange(_MAX_PAIRS) * stride).astype(np.int64)
@@ -108,7 +132,11 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Voc
 
     freq = np.array([counts[t] for t in tokens], dtype=np.float64) ** 0.75
     noise = (freq / freq.sum()) if vocab_size > 1 else np.ones(1)
+    # Generator.choice(p=noise) draws through this cdf
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
+    width = 1 + _NEGATIVES
     total_steps = max(1, _EPOCHS * ((centers.size + _BATCH - 1) // _BATCH))
     step = 0
     for _ in range(_EPOCHS):
@@ -116,7 +144,8 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Voc
         for start in range(0, centers.size, _BATCH):
             batch = order[start:start + _BATCH]
             c, o = centers[batch], contexts[batch]
-            negatives = rng.choice(vocab_size, size=(batch.size, _NEGATIVES), p=noise)
+            negatives = cdf.searchsorted(
+                rng.random((batch.size, _NEGATIVES)), side="right")
             lr = np.float32(_BASE_LR * max(0.05, 1.0 - step / total_steps))
             step += 1
 
@@ -129,10 +158,10 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Voc
             grad = (score - label).astype(np.float32)       # (B, 1+k)
 
             grad_vc = np.einsum("bk,bkd->bd", grad, vt)
-            grad_vt = grad[:, :, None] * vc[:, None, :]
-            np.add.at(w_in, c, -lr * grad_vc)
-            np.add.at(w_out, targets.reshape(-1),
-                      -lr * grad_vt.reshape(-1, dim))
+            flat = grad.reshape(-1)
+            _add_rows(w_in, c, lambda sel: grad_vc[sel] * -lr)
+            _add_rows(w_out, targets.reshape(-1),
+                      lambda sel: (flat[sel, None] * vc[sel // width]) * -lr)
 
     vectors = {t: np.ascontiguousarray(w_in[i], dtype=np.float32)
                for t, i in index.items()}

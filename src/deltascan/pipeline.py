@@ -200,7 +200,8 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
     for a in analyzed:
         for i, fn in enumerate(a.analysis.functions):
             for record in detect_bypass_reentrancy(fn, config.max_paths,
-                                                   contract_name=a.name):
+                                                   contract_name=a.name,
+                                                   paths=a.paths[i]):
                 builtin.append((a, i, record))
     mapped, unmapped = map_report(external_records, selector_maps)
 

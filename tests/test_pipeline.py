@@ -168,6 +168,27 @@ def test_detect_counts_functions_at_path_cap(built_index, tmp_path):
     assert res.counters["paths_capped"] == over
 
 
+def test_embed_enumerates_paths_once(built_index, corpus_dir, tmp_path,
+                                     monkeypatch):
+    """The detector reuses the paths cmd_embed already holds: it
+    enumerates none of its own, and finds the same defects."""
+    import deltascan.detectors as detectors
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_paths(*args, **kwargs)
+    monkeypatch.setattr(detectors, "enumerate_paths", counted)
+    config, summary = built_index
+    again = replace(config, index_path=str(tmp_path / "again.idx"))
+    repeat = cmd_embed(again, sorted(map(str, corpus_dir.glob("*.bin"))))
+    assert calls == []
+    for key in ("builtin_findings", "functions_stored", "vectors_stored"):
+        assert repeat[key] == summary[key]
+    assert Path(again.index_path).read_bytes() == \
+        Path(config.index_path).read_bytes()
+
+
 def test_detect_never_runs_detectors(built_index, corpus_dir, monkeypatch):
     config, _ = built_index
 

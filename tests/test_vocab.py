@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from deltascan.cfg import analyze_contract, extract_paths
 from deltascan.encoder import (EmbeddingConfig, load_vocabulary,
                                save_vocabulary, train_vocabulary)
+from deltascan.encoder.vocab import _add_rows, _window_pairs
 from deltascan.errors import CorruptFile, EmptyCorpus
+from fixtures import make_corpus
 
 
 def test_single_token_corpus_shape():
@@ -85,3 +90,84 @@ def test_load_rejects_corrupt_files(tmp_path, small_vocab):
     (tmp_path / "trailing").write_bytes(raw + b"\x00")
     with pytest.raises(CorruptFile):
         load_vocabulary(tmp_path / "trailing")
+
+
+def _vocab_digest(vocab) -> str:
+    digest = hashlib.sha256()
+    for token in sorted(vocab.vectors):
+        digest.update(token.encode() + b"\0" + vocab.vectors[token].tobytes())
+    digest.update(vocab.training_corpus_hash)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("count, prefix, largest", [
+    (3, "a917984304442546", 0.56),      # converges
+    (10, "e32c97b9d4a12462", 1.6e6),    # diverges, still finite
+    (40, "4933eb789bb30d45", None),     # every weight NaN
+])
+def test_vocabulary_digest_is_pinned(count, prefix, largest, config):
+    """Golden bits of the vocabulary trained on the paths of
+    make_corpus(count). Past about 2000 path tokens the trainer diverges,
+    and on diverged weights any change of rounding or summation order
+    changes the vocabulary; a change to the trainer's numerics must update
+    these pins on purpose."""
+    corpus = []
+    for _, _, code in make_corpus(count, seed=7):
+        for fn in analyze_contract(code).functions:
+            corpus += [[ins.opcode.mnemonic for bid in path.blocks
+                        for ins in fn.blocks[bid].instructions]
+                       for path in extract_paths(fn)]
+    with np.errstate(all="ignore"):
+        vocab = train_vocabulary(corpus, config)
+    weights = np.stack(list(vocab.vectors.values()))
+    if largest is None:
+        assert np.isnan(weights).all()
+    else:
+        np.testing.assert_allclose(np.abs(weights).max(), largest, rtol=0.02)
+    assert _vocab_digest(vocab)[:16] == prefix
+
+
+@pytest.mark.parametrize("case", ["duplicates", "magnitudes", "one-row",
+                                  "nan-payloads"])
+def test_add_rows_matches_add_at_bits(case):
+    rng = np.random.default_rng(11)
+    rows, dim = 40, 64
+    if case == "one-row":          # one row hit 6144 times, the rest never
+        index = np.full(6144, 7)
+    else:                          # few rows take most hits; 25..39 never
+        index = rng.choice(25, size=6144, p=np.arange(25, 0, -1) / 325)
+    values = rng.standard_normal((index.size, dim)).astype(np.float32)
+    w = rng.standard_normal((rows, dim)).astype(np.float32)
+    if case == "magnitudes":       # 1e-3 .. 1e9, so the order of sums shows
+        values *= np.float32(10.0) ** rng.integers(-3, 10, values.shape)
+        w *= np.float32(1e9)
+    if case == "nan-payloads":     # NaNs of two payloads meet
+        nans = np.uint32([0x7FC00001, 0xFFC00002]).view(np.float32)
+        values[::3] = nans[0]
+        w[::2] = nans[1]
+    expected = w.copy()
+    np.add.at(expected, index, values)
+    _add_rows(w, index, lambda sel: values[sel])
+    if case == "nan-payloads":     # which NaN survives may differ
+        nan = np.isnan(expected)
+        assert (np.isnan(w) == nan).all()
+        w[nan] = expected[nan] = 0
+    assert w.tobytes() == expected.tobytes()
+
+
+def test_window_pairs_match_nested_loop():
+    window = 5
+    sequences = [list(range(100 * n, 100 * n + n)) for n in range(1, 13)]
+    centers, contexts = [], []
+    for ids in sequences:
+        for pos, center in enumerate(ids):
+            for ctx in range(max(0, pos - window),
+                             min(len(ids), pos + window + 1)):
+                if ctx != pos:
+                    centers.append(center)
+                    contexts.append(ids[ctx])
+    flat = np.array([t for ids in sequences for t in ids], dtype=np.int64)
+    lengths = np.array([len(ids) for ids in sequences], dtype=np.int64)
+    got_centers, got_contexts = _window_pairs(flat, lengths, window)
+    assert got_centers.tolist() == centers
+    assert got_contexts.tolist() == contexts
