@@ -16,7 +16,8 @@ from .detectors import (DefectClass, DefectRecord, MappedDefect,
                         parse_report_file, signature_selector,
                         validate_signature)
 from .encoder import (EmbeddingConfig, EncoderParams, FunctionEmbedding,
-                      PathEmbedding, Vocabulary, embed_function, embed_path,
+                      PathEmbedding, Vocabulary, embed_contract,
+                      embed_function, embed_path,
                       encode_graph, encode_sequences, fuse_block,
                       fusion_weights, load_vocabulary, pool_block,
                       save_vocabulary, train_vocabulary)

@@ -20,8 +20,8 @@ from ..errors import DimensionMismatch
 from .config import EmbeddingConfig
 from .params import EncoderParams
 
-__all__ = ["InstructionGraph", "build_instruction_graph", "encode_graph",
-           "pool_block"]
+__all__ = ["InstructionGraph", "build_instruction_graph", "union_graphs",
+           "encode_graph", "pool_block"]
 
 _LEAKY_SLOPE = np.float32(0.2)
 
@@ -68,6 +68,21 @@ def build_instruction_graph(cfg: FunctionCfg, fused: dict) -> InstructionGraph:
                             tuple(edges_seq))
 
 
+def union_graphs(graphs) -> InstructionGraph:
+    """The disjoint union of instruction graphs: their nodes end to end, in
+    order, with each graph's spans and edges shifted by its first node.
+    Attention is node-local, so encoding the union encodes each graph."""
+    spans, edges_cfg, edges_seq = [], [], []
+    offset = 0
+    for g in graphs:
+        spans += [(first + offset, count) for first, count in g.block_spans]
+        edges_cfg += [(s + offset, d + offset) for s, d in g.edges_cfg]
+        edges_seq += [(s + offset, d + offset) for s, d in g.edges_seq]
+        offset += g.features.shape[0]
+    return InstructionGraph(np.concatenate([g.features for g in graphs]),
+                            tuple(spans), tuple(edges_cfg), tuple(edges_seq))
+
+
 def _elu(x):
     return np.where(x > 0, x, np.expm1(np.minimum(x, np.float32(0.0)))).astype(np.float32)
 
@@ -112,6 +127,10 @@ def encode_graph(graph: InstructionGraph, params: EncoderParams,
         raise DimensionMismatch("graph has no nodes")
     if x.shape[1] != config.seq_dim:
         raise DimensionMismatch(f"node dim {x.shape[1]} != {config.seq_dim}")
+    if n == 1:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from the gemm of larger graphs: add an isolated copy of the node
+        return encode_graph(union_graphs([graph, graph]), params, config)[:1]
     edges = np.array(graph.edges_cfg + graph.edges_seq,
                      dtype=np.int64).reshape(-1, 2)
     loops = np.arange(n, dtype=np.int64)

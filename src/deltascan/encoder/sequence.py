@@ -5,19 +5,24 @@ attention, plus position-wise feed-forward blocks, residual connections,
 and layer normalization.
 
 A batch is encoded packed: the valid rows of its paths are laid end to end
-in one (T, d) array, with no padding, and each path is a segment of it.
-The projections, layer norms and feed-forward blocks run per row on the
-whole pack. Attention runs per segment: for a segment of L rows it forms
-the (heads, L, L) scores q k^T / sqrt(dh), turns them in place into
+in one (T, d) array, shortest path first, with no padding, and each path is
+a segment of it. The projections, layer norms and feed-forward blocks run
+per row on the whole pack. Attention runs per group of consecutive
+segments of equal length L: for S of them it forms the (heads, S, L, L)
+scores q k^T / sqrt(dh) in one batched matmul, turns them in place into
 softmax weights (row max subtracted, exp, divided by the row sum) and
-multiplies them by v. Paths are at most m_max = 512 tokens long, so the
-largest scores array is (8, 512, 512) float32, 8 MB. A path's encoding
-depends on its own rows only, bit for bit, so it is the same in any batch.
+multiplies them by v. The groups are built once per call and chunked so
+that S * L**2 <= m_max**2, so no scores array is larger than that of one
+m_max = 512 token path, (8, 512, 512) float32, 8 MB. Each segment's slice
+of a group is the same BLAS product a lone segment would get, so a path's
+encoding depends on its own rows only, bit for bit: it is the same in any
+batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -55,45 +60,76 @@ def embed_path(tokens: list, vocab: Vocabulary,
 
 
 def _layer_norm(x, gain, bias):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return ((x - mean) / np.sqrt(var + _LN_EPS)) * gain + bias
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, with
+    the mean and variance computed as ``x.mean`` and ``x.var`` compute them
+    (float32 sums divided by the intp count), the mean only once."""
+    count = np.intp(x.shape[-1])
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    centred = x - mean
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    centred /= np.sqrt(var + _LN_EPS)
+    centred *= gain
+    centred += bias
+    return centred
 
 
-def _attention_layer(x, starts, lengths, layer, heads):
+def _segment_groups(lengths, m_max: int) -> list:
+    """(first row, segments, length) of each run of consecutive packed
+    segments of equal length, chunked so that segments * length**2 <=
+    m_max**2. ``lengths`` are the segments' row counts, in pack order."""
+    groups = []
+    row = 0
+    for length, run in groupby(lengths):
+        count = len(list(run))
+        cap = max(1, m_max * m_max // (length * length))
+        for first in range(0, count, cap):
+            segments = min(cap, count - first)
+            groups.append((row, segments, length))
+            row += segments * length
+    return groups
+
+
+def _attention_layer(x, groups, layer, heads):
     """Exact softmax attention over packed segments.
 
     x is (T, d): the rows of every segment, end to end. A row attends only
-    to rows of its own segment, which starts at ``starts[s]`` and holds
-    ``lengths[s]`` rows.
+    to rows of its own segment. ``groups`` (see ``_segment_groups``) covers
+    the pack with runs of equal-length segments.
     """
     total, d = x.shape
     head_dim = d // heads
 
     def split(mat):
-        return (x @ mat).reshape(total, heads, head_dim).transpose(1, 0, 2)
+        return (x @ mat).reshape(total, heads, head_dim)
 
-    q = split(layer["wq"]) * np.float32(head_dim ** -0.5)  # (h, T, dh)
+    q = split(layer["wq"]) * np.float32(head_dim ** -0.5)  # (T, h, dh)
     k = split(layer["wk"])
     v = split(layer["wv"])
 
     out = np.empty((total, heads, head_dim), dtype=np.float32)
-    for start, length in zip(starts, lengths):
-        rows = slice(start, start + length)
-        scores = q[:, rows] @ k[:, rows].transpose(0, 2, 1)  # (h, L, L)
-        scores -= scores.max(axis=2, keepdims=True)
+    for row, segments, length in groups:
+        rows = slice(row, row + segments * length)
+
+        def group(a):  # (h, S, L, dh) view
+            return a[rows].reshape(segments, length, heads,
+                                   head_dim).transpose(2, 0, 1, 3)
+
+        scores = group(q) @ group(k).swapaxes(2, 3)  # (h, S, L, L)
+        scores -= np.maximum.reduce(scores, axis=3, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=2, keepdims=True)
-        out[rows] = (scores @ v[:, rows]).transpose(1, 0, 2)
+        scores /= np.add.reduce(scores, axis=3, keepdims=True)
+        out[rows].reshape(segments, length, heads, head_dim)[...] = (
+            scores @ group(v)).transpose(1, 2, 0, 3)
     return out.reshape(total, d) @ layer["wo"]
 
 
 def encode_sequences(batch, params: EncoderParams,
-                     config: EmbeddingConfig | None = None) -> np.ndarray:
-    """Encode a batch of PathEmbeddings into an (n, m_max, seq_dim) tensor.
-
-    Rows at or past a path's valid_len are zero in the output, and a path's
-    rows depend on that path alone: it encodes bit-identically in any batch.
+                     config: EmbeddingConfig | None = None) -> list:
+    """Encode a batch of PathEmbeddings: one (valid_len, seq_dim) float32
+    array per path, in batch order. A path's rows depend on that path
+    alone: it encodes bit-identically in any batch.
     """
     config = config or params.config
     if not batch:
@@ -103,29 +139,31 @@ def encode_sequences(batch, params: EncoderParams,
             raise DimensionMismatch(
                 f"word dim {p.matrix.shape[1]} != {config.word_dim}")
 
-    out = np.zeros((len(batch), config.m_max, config.seq_dim),
-                   dtype=np.float32)
-    owners = [i for i, p in enumerate(batch) if p.valid_len > 0]
+    out = [np.zeros((0, config.seq_dim), dtype=np.float32)] * len(batch)
+    owners = sorted((i for i, p in enumerate(batch) if p.valid_len > 0),
+                    key=lambda i: batch[i].valid_len)
     if not owners:
         return out
-    lengths = np.array([batch[i].valid_len for i in owners])
-    rows = [batch[i].matrix[:batch[i].valid_len] for i in owners]
-    if lengths.sum() == 1:
+    lengths = [batch[i].valid_len for i in owners]
+    rows = [batch[i].matrix[:n] for i, n in zip(owners, lengths)]
+    if lengths == [1]:
         # numpy sends a one-row product to gemv, which rounds differently
         # from the gemm of longer packs: add an unowned one-row segment
         rows.append(rows[0])
-        lengths = np.array([1, 1])
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        lengths.append(1)
+    groups = _segment_groups(lengths, config.m_max)
 
-    x = np.concatenate(rows).astype(np.float32) @ params.input_proj \
-        + params.input_bias
+    x = np.concatenate(rows).astype(np.float32, copy=False) \
+        @ params.input_proj + params.input_bias
     for layer in params.seq_layers:
-        attn = _attention_layer(x, starts, lengths, layer, config.seq_heads)
+        attn = _attention_layer(x, groups, layer, config.seq_heads)
         x = _layer_norm(x + attn, layer["ln1_g"], layer["ln1_b"])
         hidden = np.maximum(x @ layer["w1"] + layer["b1"], np.float32(0.0))
         x = _layer_norm(x + hidden @ layer["w2"] + layer["b2"],
                         layer["ln2_g"], layer["ln2_b"])
 
-    for i, start, length in zip(owners, starts, lengths):
-        out[i, :length] = x[start:start + length]
+    row = 0
+    for i, length in zip(owners, lengths):
+        out[i] = x[row:row + length]
+        row += length
     return out

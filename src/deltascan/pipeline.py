@@ -10,6 +10,7 @@ detectors run (that is the whole point of the cheaper second phase).
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -17,8 +18,12 @@ from pathlib import Path
 
 from .cfg import ContractAnalysis, analyze_contract, enumerate_paths
 from .detectors import detect_bypass_reentrancy, map_report, parse_report_file
-from .encoder import (EmbeddingConfig, Vocabulary, embed_function,
-                      load_vocabulary, save_vocabulary, train_vocabulary)
+# embed_function is not called here, but stays importable from this
+# module: bench/spans.py hooks ``pipeline.embed_function``
+from .encoder import (EmbeddingConfig, Vocabulary, embed_contract,
+                      embed_function, load_vocabulary, save_vocabulary,
+                      train_vocabulary)
+from .encoder.embed import STAGES
 from .encoder.params import init_params
 from .errors import EmptyCorpus
 from .index import AnnIndex, EntryLabel, IndexEntry, decide_similar, load_index, save_index
@@ -230,31 +235,31 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
             to_embed.append((hit[0], hit[1], md.record.function_signature,
                              md.record.defect_class))
 
-    # deterministic insertion order
+    # deterministic insertion order, each (function, ref, defect) once
     to_embed.sort(key=lambda item: (item[0].name, item[1], item[2],
                                     item[3].value))
-    stored_functions = 0
-    embed_ms = 0.0
-    seen_functions = set()
-    encoded, encoded_for = {}, None  # distinct paths of one contract
+    stored = {}
     for a, i, ref, defect in to_embed:
-        key = (a.name, i, ref, defect)
-        if key in seen_functions:
-            continue
-        seen_functions.add(key)
-        if a is not encoded_for:
-            encoded, encoded_for = {}, a
-        fn = a.analysis.functions[i]
+        stored.setdefault((a.name, i, ref, defect), (a, i, ref, defect))
+    embed_ms = 0.0
+    # one pass per contract over its distinct functions to store
+    for _, group in itertools.groupby(stored.values(),
+                                      key=lambda item: id(item[0])):
+        group = list(group)
+        a = group[0][0]
+        functions = list(dict.fromkeys(i for _, i, _, _ in group))
         t0 = time.perf_counter()
-        emb = embed_function(fn, a.paths[i], vocab, params, config.embedding,
-                             use_sequence=config.use_sequence,
-                             use_graph=config.use_graph, encoded=encoded)
+        embedded = embed_contract(
+            [(a.analysis.functions[i], a.paths[i]) for i in functions],
+            vocab, params, config.embedding,
+            use_sequence=config.use_sequence, use_graph=config.use_graph)
         embed_ms += (time.perf_counter() - t0) * 1e3
-        for block_id, vec in enumerate(emb.block_vectors):
-            label = EntryLabel(a.name, ref, fn.selector or b"",
-                               block_id, defect)
-            index.insert(IndexEntry(0, vec, label))
-        stored_functions += 1
+        by_function = dict(zip(functions, embedded))
+        for _, i, ref, defect in group:
+            selector = a.analysis.functions[i].selector or b""
+            for block_id, vec in enumerate(by_function[i].block_vectors):
+                label = EntryLabel(a.name, ref, selector, block_id, defect)
+                index.insert(IndexEntry(0, vec, label))
 
     save_index(index, config.index_path)
     save_vocabulary(vocab, config.vocab_path)
@@ -264,7 +269,7 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
     return {
         "contracts_processed": len(analyzed),
         "contracts_failed": failures,
-        "functions_stored": stored_functions,
+        "functions_stored": len(stored),
         "vectors_stored": len(index),
         "builtin_findings": len(builtin),
         "mapped_records": len(mapped),
@@ -302,31 +307,27 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
         result = ScanResult(name, str(path),
                             a.analysis.program.code_hash.hex(),
                             timings_ms=dict(a.timings_ms))
-        truncated = fallback = 0
+        stats = {}
         t0 = time.perf_counter()
-        embeddings = []
-        encoded = {}  # distinct paths of this contract, encoded once each
-        for i, fn in enumerate(a.analysis.functions):
-            if not fn.blocks:
-                continue
-            emb = embed_function(fn, a.paths[i], vocab, params,
-                                 config.embedding,
-                                 use_sequence=config.use_sequence,
-                                 use_graph=config.use_graph,
-                                 encoded=encoded)
-            truncated += emb.paths_truncated
-            fallback += emb.fallback_blocks
-            embeddings.append(emb)
+        embeddings = embed_contract(
+            [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
+             if fn.blocks],
+            vocab, params, config.embedding,
+            use_sequence=config.use_sequence, use_graph=config.use_graph,
+            stats=stats)
         result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
+        result.timings_ms.update((name, stats[name]) for name in STAGES)
         t0 = time.perf_counter()
         for emb in embeddings:
             result.findings.extend(decide_similar(
                 emb, index, threshold=config.threshold))
         result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
-        result.counters = {"paths_truncated": truncated,
-                           "paths_encoded": len(encoded),
+        result.counters = {"paths_truncated": sum(
+                               e.paths_truncated for e in embeddings),
+                           "paths_encoded": stats["paths_encoded"],
                            "paths_capped": a.hit_cap,
-                           "fallback_blocks": fallback,
+                           "fallback_blocks": sum(
+                               e.fallback_blocks for e in embeddings),
                            "functions_embedded": len(embeddings)}
         return result
 

@@ -1,8 +1,9 @@
 """Padded exact-softmax reference for the sequence encoder.
 
 `encode_reference` takes the same arguments as
-`deltascan.encoder.encode_sequences` and returns the same
-(n, m_max, seq_dim) encoding, but computes it in float64 on the batch
+`deltascan.encoder.encode_sequences` and returns the same encoding, one
+(valid_len, seq_dim) float32 array per path, but computes it in float64 on
+the batch
 padded to its longest path, with padded keys masked out of the softmax
 and padded rows zeroed after every layer. It shares no code with the
 packed encoder, so a test can compare the two.
@@ -43,6 +44,5 @@ def encode_reference(batch, params, config):
                         layer["ln2_g"], layer["ln2_b"])
         x = np.where(rows, x, 0.0)
 
-    out = np.zeros((n, config.m_max, config.seq_dim), dtype=np.float32)
-    out[:, :length] = x
-    return out
+    return [x[i, :p.valid_len].astype(np.float32)
+            for i, p in enumerate(batch)]

@@ -148,8 +148,8 @@ def test_criterion_05_masking_pooling_graph_oracle():
     poked[100:200] = 9.0
     dirty = PathEmbedding(0, poked, clean.valid_len, clean.mask, False)
     mask_delta = float(np.abs(
-        encode_sequences([clean], params, config)[0, :4] -
-        encode_sequences([dirty], params, config)[0, :4]).max())
+        encode_sequences([clean], params, config)[0] -
+        encode_sequences([dirty], params, config)[0]).max())
 
     row = np.full((6, config.graph_dim), -0.75, dtype=np.float32)
     pool_delta = float(np.abs(pool_block(row, params) - row[0]).max())

@@ -12,7 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["detect-large", "embed-defects"])
+@pytest.mark.parametrize("workload", ["detect-clones", "detect-large",
+                                      "embed-defects"])
 def test_bench_traced_run_is_correct_and_hooks_every_layer(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,

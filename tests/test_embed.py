@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from deltascan.cfg import analyze_contract, extract_paths
-from deltascan.encoder import embed, embed_function, train_vocabulary
+from deltascan.encoder import (embed, embed_contract, embed_function,
+                               train_vocabulary)
 from deltascan.encoder.params import init_params
 from deltascan.encoder.vocab import Vocabulary
 from deltascan.errors import EmptyFunction
@@ -193,34 +194,98 @@ def test_mint_selector_discrimination(params, config):
     assert distance["setter"] > 0.1 and distance["loop"] > 0.1
 
 
-def test_shared_dict_encodes_each_distinct_path_once(small_vocab, params,
-                                                     config, monkeypatch):
-    """Functions sharing one dict encode a path once, in one call per
-    function with misses, and embed bit-identically to separate calls."""
-    code = build_contract([("approve(address,uint256)", setter_body(1)),
-                           ("setConfig(uint256)", setter_body(2)),
-                           ("mint(address,uint256)", vulnerable_mint_body(3))])
-    functions = [(fn, extract_paths(fn))
-                 for fn in analyze_contract(code).functions]
-    alone = [embed_function(fn, paths, small_vocab, params, config)
-             for fn, paths in functions]
-    batches = []
-    encode = embed.encode_sequences
+def _items(code, max_paths=None):
+    return [(fn, extract_paths(fn) if max_paths is None
+             else extract_paths(fn, max_paths=max_paths))
+            for fn in analyze_contract(code).functions if fn.blocks]
 
-    def counted(batch, *args):
+
+def _straight_line_body(length):
+    def body(a, tag):
+        a.op("JUMPDEST")
+        for _ in range(length):
+            a.op("DUP1").op("POP")
+        a.op("STOP")
+    return body
+
+
+VARIANTS = [(True, True), (False, True), (True, False), (False, False)]
+
+
+@pytest.mark.parametrize("use_sequence, use_graph", VARIANTS,
+                         ids=["full", "no_sequence", "no_graph", "no_both"])
+def test_contract_pass_equals_per_function(small_vocab, params, config,
+                                           use_sequence, use_graph):
+    """One contract pass gives every function the bits embed_function gives
+    it alone: functions that share paths (twin setters), a one-token path
+    (the lone STOP of a contract without a dispatcher: one graph node), a
+    path budget that leaves fallback blocks, and a path cut at m_max."""
+    items = _items(build_contract([
+        ("approve(address,uint256)", setter_body(1)),
+        ("setConfig(uint256)", setter_body(2)),
+        ("owner()", getter_body(3)),
+        ("mint(address,uint256)", vulnerable_mint_body(3))]))
+    items += _items(bytes.fromhex("00"))
+    items.append((items[0][0], extract_paths(items[0][0], max_paths=1)))
+    items += _items(build_contract([
+        ("approve(address,uint256)", _straight_line_body(config.m_max))]))
+    assert [len(fn.blocks[0].instructions) for fn, _ in items].count(1) == 1
+
+    together = embed_contract(items, small_vocab, params, config,
+                              use_sequence, use_graph)
+    assert len(together) == len(items)
+    for (fn, paths), emb in zip(items, together):
+        alone = embed_function(fn, paths, small_vocab, params, config,
+                               use_sequence, use_graph)
+        assert emb.function_id == alone.function_id
+        assert emb.paths_truncated == alone.paths_truncated
+        assert emb.fallback_blocks == alone.fallback_blocks
+        assert [v.tobytes() for v in emb.block_vectors] == \
+            [v.tobytes() for v in alone.block_vectors]
+    assert any(emb.fallback_blocks for emb in together)
+    assert any(emb.paths_truncated for emb in together) == use_sequence
+
+
+def test_contract_pass_rejects_a_function_without_blocks(small_vocab, params,
+                                                         config):
+    from deltascan.cfg import FunctionCfg
+    empty = FunctionCfg((b"", 0), None, 0, (), frozenset())
+    items = _items(build_contract([("owner()", getter_body(0))]))
+    with pytest.raises(EmptyFunction):
+        embed_contract(items + [(empty, [])], small_vocab, params, config)
+    stats = {}
+    assert embed_contract([], small_vocab, params, config, stats=stats) == []
+    assert stats["paths_encoded"] == 0
+
+
+def test_contract_pass_encodes_each_distinct_path_once(small_vocab, params,
+                                                       config, monkeypatch):
+    """A contract pass makes one encode_sequences call, holding each
+    distinct path of its functions once, and one encode_graph call over all
+    their instructions; ``stats`` counts the paths and times the stages."""
+    items = _items(build_contract([
+        ("approve(address,uint256)", setter_body(1)),
+        ("setConfig(uint256)", setter_body(2)),
+        ("mint(address,uint256)", vulnerable_mint_body(3))]))
+    batches, nodes = [], []
+    encode_sequences, encode_graph = embed.encode_sequences, embed.encode_graph
+
+    def count_paths(batch, *args):
         batches.append(len(batch))
-        return encode(batch, *args)
-    monkeypatch.setattr(embed, "encode_sequences", counted)
-    encoded = {}
-    shared = [embed_function(fn, paths, small_vocab, params, config,
-                             encoded=encoded)
-              for fn, paths in functions]
-    distinct = {tuple(ins.opcode.mnemonic for bid in p.blocks
-                      for ins in fn.blocks[bid].instructions)
-                for fn, paths in functions for p in paths}
-    assert sum(batches) == len(encoded) == len(distinct)
-    assert len(batches) < len(functions)  # the twin setter needs no call
-    for a, b in zip(alone, shared):
-        assert a.paths_truncated == b.paths_truncated
-        assert [v.tobytes() for v in a.block_vectors] == \
-            [v.tobytes() for v in b.block_vectors]
+        return encode_sequences(batch, *args)
+
+    def count_nodes(graph, *args):
+        nodes.append(graph.features.shape[0])
+        return encode_graph(graph, *args)
+    monkeypatch.setattr(embed, "encode_sequences", count_paths)
+    monkeypatch.setattr(embed, "encode_graph", count_nodes)
+    stats = {}
+    embed_contract(items, small_vocab, params, config, stats=stats)
+    paths = [tuple(ins.opcode.mnemonic for bid in p.blocks
+                   for ins in fn.blocks[bid].instructions)
+             for fn, paths in items for p in paths]
+    assert batches == [stats["paths_encoded"]] == [len(set(paths))]
+    assert len(set(paths)) < len(paths)  # the twin setter adds no path
+    assert nodes == [sum(b.instr_count for fn, _ in items for b in fn.blocks)]
+    assert set(stats) == {"paths_encoded", *embed.STAGES}
+    assert all(stats[name] >= 0 for name in embed.STAGES)

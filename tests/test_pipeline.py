@@ -9,6 +9,9 @@ import pytest
 import deltascan.pipeline as pipeline
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
+from deltascan.encoder import embed_function
+from deltascan.encoder.embed import STAGES
+from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError
 from deltascan.pipeline import (PipelineConfig, cmd_ablate, cmd_detect,
                                 cmd_embed, read_bytecode_file)
@@ -131,8 +134,40 @@ def test_detect_self_match(built_index, corpus_dir, tmp_path):
                         if f.matched_contract == original]
         assert self_matches, res.contract
         assert all(f.max_block_distance == 0.0 for f in self_matches)
-        assert res.timings_ms["embedding"] >= 0
+        assert res.timings_ms["embedding"] >= sum(
+            res.timings_ms[name] for name in STAGES) >= 0
         assert res.counters["functions_embedded"] >= 1
+
+
+@pytest.mark.parametrize("variant", pipeline.ABLATION_VARIANTS,
+                         ids=[v[0] for v in pipeline.ABLATION_VARIANTS])
+def test_detect_embeds_under_the_configured_variant(built_index, corpus_dir,
+                                                    variant):
+    """Each finding of cmd_detect under an encoder variant carries the
+    distance that embed_function under the same variant gives, function by
+    function; the threshold lets every same-selector function match."""
+    _, use_sequence, use_graph = variant
+    config = replace(built_index[0], use_sequence=use_sequence,
+                     use_graph=use_graph, allow_no_stages=True,
+                     threshold=float("inf"))
+    files = sorted(map(str, corpus_dir.glob("*.bin")))[:2]
+    index = pipeline.load_index(config.index_path)
+    vocab = pipeline.load_vocabulary(config.vocab_path)
+    params = pipeline.init_params(config.embedding)
+    for path, res in zip(files, cmd_detect(config, files)):
+        expected = []
+        for fn in analyze_contract(read_bytecode_file(path)).functions:
+            if fn.blocks:
+                emb = embed_function(
+                    fn, list(enumerate_paths(fn, config.max_paths).paths),
+                    vocab, params, config.embedding,
+                    use_sequence=use_sequence, use_graph=use_graph)
+                expected += decide_similar(emb, index, config.threshold)
+        assert res.findings
+        assert [(f.query_function_id, f.matched_contract, f.matched_function,
+                 f.max_block_distance) for f in res.findings] == \
+            [(f.query_function_id, f.matched_contract, f.matched_function,
+              f.max_block_distance) for f in expected]
 
 
 def test_detect_counts_distinct_paths_encoded(built_index, tmp_path):
