@@ -111,6 +111,11 @@ class AnnIndex:
         order = np.argsort(dists, kind="stable")[:k]
         return [(int(i), float(dists[i])) for i in order]
 
+    def function_keys(self, selector) -> tuple:
+        """Keys of the stored functions under ``selector``, in insertion
+        order; empty when the index holds none."""
+        return tuple(self._by_selector.get(selector, ()))
+
     def function_entries(self, function_key) -> list:
         return [self.entries[i] for i in self._groups.get(function_key, ())]
 
@@ -127,7 +132,7 @@ def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
         return []  # selector gate: anonymous functions cannot match labels
 
     findings = []
-    for key in index._by_selector.get(query_fn.selector, ()):
+    for key in index.function_keys(query_fn.selector):
         stored = np.stack([e.vector for e in index.function_entries(key)])
         distances = []
         for vec in query_fn.block_vectors:

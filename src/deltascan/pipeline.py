@@ -2,7 +2,8 @@
 
 Embed phase: analyze contracts, run the builtin reentrancy detector, merge
 external report records, and store block vectors of defective functions in
-the index. Detect phase: analyze and embed every function of new contracts
+the index. Detect phase: analyze new contracts, embed only the functions
+the selector gate lets through (those under a selector the index holds),
 and compare each with every stored function under its selector; no
 detectors run (that is the whole point of the cheaper second phase).
 """
@@ -289,47 +290,66 @@ def _load_artifacts(config: PipelineConfig) -> tuple:
     return index, vocab, params
 
 
+def _can_match(fn, index: AnnIndex) -> bool:
+    """The selector gate: a function matches only stored functions under
+    its own selector (``decide_similar``), so one without blocks, without
+    a selector, or under a selector the index does not hold cannot match."""
+    return (bool(fn.blocks) and fn.selector is not None
+            and bool(index.function_keys(fn.selector)))
+
+
+def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
+                vocab, params) -> ScanResult:
+    """Embed, in one pass, the functions of one analyzed contract that pass
+    the selector gate, and decide each against the index."""
+    result = ScanResult(a.name, a.source, a.analysis.program.code_hash.hex(),
+                        timings_ms=dict(a.timings_ms))
+    functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
+                 if _can_match(fn, index)]
+    stats = {}
+    t0 = time.perf_counter()
+    embeddings = embed_contract(
+        functions, vocab, params, config.embedding,
+        use_sequence=config.use_sequence, use_graph=config.use_graph,
+        stats=stats)
+    result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
+    result.timings_ms.update((name, stats[name]) for name in STAGES)
+    t0 = time.perf_counter()
+    for emb in embeddings:
+        result.findings.extend(decide_similar(
+            emb, index, threshold=config.threshold))
+    result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
+    with_blocks = sum(bool(fn.blocks) for fn in a.analysis.functions)
+    result.counters = {"paths_truncated": sum(
+                           e.paths_truncated for e in embeddings),
+                       "paths_encoded": stats["paths_encoded"],
+                       "paths_capped": a.hit_cap,
+                       "fallback_blocks": sum(
+                           e.fallback_blocks for e in embeddings),
+                       "functions_embedded": len(embeddings),
+                       "functions_gated": with_blocks - len(embeddings)}
+    return result
+
+
 def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
                params=None) -> list:
-    """Embed every function of each contract and query the index. Returns a
-    list of ScanResult. Detectors and report parsing never run here."""
+    """Embed the functions of each contract that pass the selector gate and
+    decide them against the index. Returns a list of ScanResult; a contract
+    that fails carries its error and never aborts the call. Detectors and
+    report parsing never run here."""
     bytecode_files, _ = _load_inputs(inputs)
     if index is None:
         index, vocab, params = _load_artifacts(config)
 
     def scan(path) -> ScanResult:
-        name = Path(path).stem
+        name, a = Path(path).stem, None
         try:
             code = read_bytecode_file(path)
             a = _analyze_one(name, str(path), code, config.max_paths)
-        except Exception as exc:
-            return ScanResult(name, str(path), "", error=str(exc))
-        result = ScanResult(name, str(path),
-                            a.analysis.program.code_hash.hex(),
-                            timings_ms=dict(a.timings_ms))
-        stats = {}
-        t0 = time.perf_counter()
-        embeddings = embed_contract(
-            [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
-             if fn.blocks],
-            vocab, params, config.embedding,
-            use_sequence=config.use_sequence, use_graph=config.use_graph,
-            stats=stats)
-        result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
-        result.timings_ms.update((name, stats[name]) for name in STAGES)
-        t0 = time.perf_counter()
-        for emb in embeddings:
-            result.findings.extend(decide_similar(
-                emb, index, threshold=config.threshold))
-        result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
-        result.counters = {"paths_truncated": sum(
-                               e.paths_truncated for e in embeddings),
-                           "paths_encoded": stats["paths_encoded"],
-                           "paths_capped": a.hit_cap,
-                           "fallback_blocks": sum(
-                               e.fallback_blocks for e in embeddings),
-                           "functions_embedded": len(embeddings)}
-        return result
+            return _detect_one(a, config, index, vocab, params)
+        except Exception as exc:  # the call never aborts on one contract
+            code_hash = a.analysis.program.code_hash.hex() if a else ""
+            return ScanResult(name, str(path), code_hash, error=str(exc))
 
     return _map_workers(config, bytecode_files, scan)
 

@@ -50,6 +50,25 @@ def test_three_four_five_triangle():
     assert dist == pytest.approx(5.0, abs=1e-6)
 
 
+def test_function_keys_by_selector():
+    """One key per stored function, in insertion order, however many
+    blocks it has; anonymous functions sit under the empty selector, so a
+    query without a selector (None) finds nothing."""
+    index = AnnIndex(DIM)
+    index.insert(_entry([1.0], contract="A"))
+    index.insert(_entry([2.0], contract="A", block_id=1))
+    index.insert(_entry([3.0], contract="B"))
+    index.insert(_entry([4.0], contract="C", ref="fallback", selector=b""))
+    mint = b"\x40\xc1\x0f\x19"
+    assert index.function_keys(mint) == (
+        ("A", "mint(address,uint256)", DefectClass.BypassAuthReentrancy),
+        ("B", "mint(address,uint256)", DefectClass.BypassAuthReentrancy))
+    assert index.function_keys(b"") == (
+        ("C", "fallback", DefectClass.BypassAuthReentrancy),)
+    assert index.function_keys(b"\x00" * 4) == ()
+    assert index.function_keys(None) == ()
+
+
 def test_empty_index_query():
     assert AnnIndex(DIM).query(np.zeros(DIM, dtype=np.float32), k=3) == []
 

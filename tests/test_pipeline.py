@@ -9,14 +9,18 @@ import pytest
 import deltascan.pipeline as pipeline
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
-from deltascan.encoder import embed_function
+from deltascan.detectors import signature_selector
+from deltascan.encoder import embed_contract, embed_function
 from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError
 from deltascan.pipeline import (PipelineConfig, cmd_ablate, cmd_detect,
                                 cmd_embed, read_bytecode_file)
-from fixtures import (build_contract, cei_mint_body, getter_body, make_corpus,
-                      setter_body, vulnerable_mint_body)
+from fixtures import (MINT_SIGNATURE as MINT, build_contract, cei_mint_body,
+                      getter_body, loop_body, make_corpus, setter_body,
+                      vulnerable_mint_body)
+
+APPROVE = "approve(address,uint256)"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,24 @@ def built_index(corpus_dir, tmp_path_factory):
     index_path = tmp_path_factory.mktemp("idx") / "test.idx"
     config = PipelineConfig(index_path=str(index_path))
     summary = cmd_embed(config, sorted(map(str, corpus_dir.glob("*.bin"))))
+    return config, summary
+
+
+@pytest.fixture(scope="module")
+def mixed_index(corpus_dir, tmp_path_factory):
+    """Index of the vulnerable corpus (mint) plus an approve setter mapped
+    from an external report: two selectors are held."""
+    root = tmp_path_factory.mktemp("mixed")
+    (root / "Token.bin").write_bytes(build_contract([
+        (APPROVE, setter_body(7)), ("owner()", getter_body(1))]))
+    (root / "report.json").write_text(json.dumps([
+        {"contract": "Token", "function": APPROVE,
+         "defect": "WeakAuthValidation"}]))
+    config = PipelineConfig(index_path=str(root / "mixed.idx"))
+    summary = cmd_embed(config, [*sorted(map(str, corpus_dir.glob("*.bin"))),
+                                 str(root / "Token.bin"),
+                                 str(root / "report.json")])
+    assert summary["functions_stored"] == 7
     return config, summary
 
 
@@ -170,19 +192,131 @@ def test_detect_embeds_under_the_configured_variant(built_index, corpus_dir,
               f.max_block_distance) for f in expected]
 
 
-def test_detect_counts_distinct_paths_encoded(built_index, tmp_path):
-    config, _ = built_index
-    code = build_contract([("approve(address,uint256)", setter_body(1)),
-                           ("setConfig(uint256)", setter_body(2)),
+def test_detect_counts_distinct_paths_encoded(mixed_index, tmp_path):
+    """Twin setters under the two indexed selectors share their paths'
+    token sequences, and each distinct one is encoded once."""
+    config, _ = mixed_index
+    code = build_contract([(MINT, setter_body(1)),
+                           (APPROVE, setter_body(2)),
                            ("owner()", getter_body(3))])
     target = tmp_path / "twins.bin"
     target.write_bytes(code)
     (res,) = cmd_detect(config, [str(target)])
+    indexed = {signature_selector(MINT), signature_selector(APPROVE)}
     paths = [tuple(ins.opcode.mnemonic for bid in p.blocks
                    for ins in fn.blocks[bid].instructions)
              for fn in analyze_contract(code).functions
+             if fn.selector in indexed
              for p in enumerate_paths(fn, config.max_paths).paths]
+    assert res.counters["functions_embedded"] == 2
     assert res.counters["paths_encoded"] == len(set(paths)) < len(paths)
+
+
+def _mixed_contract() -> bytes:
+    """Indexed selectors (mint, approve), unindexed ones (a getter, a
+    loop), and the dispatcher's anonymous fallback."""
+    return build_contract([("owner()", getter_body(4)),
+                           (MINT, cei_mint_body(9)),
+                           ("setConfig(uint256)", loop_body(3)),
+                           (APPROVE, getter_body(2))])
+
+
+def _finding_bits(findings) -> list:
+    return [(f.query_function_id, f.matched_contract, f.matched_function,
+             f.defect_class, f.block_distances, f.decision_threshold)
+            for f in findings]
+
+
+@pytest.mark.parametrize("variant", pipeline.ABLATION_VARIANTS,
+                         ids=[v[0] for v in pipeline.ABLATION_VARIANTS])
+def test_selector_gate_keeps_every_finding_bit_for_bit(mixed_index, tmp_path,
+                                                       variant):
+    """Gated cmd_detect gives the findings of an ungated pass that embeds
+    every function with blocks and decides each one: same functions,
+    same matches, the same distance bits."""
+    _, use_sequence, use_graph = variant
+    config = replace(mixed_index[0], use_sequence=use_sequence,
+                     use_graph=use_graph, allow_no_stages=True,
+                     threshold=float("inf"))
+    code = _mixed_contract()
+    target = tmp_path / "mixed.bin"
+    target.write_bytes(code)
+    index = pipeline.load_index(config.index_path)
+    vocab = pipeline.load_vocabulary(config.vocab_path)
+    params = pipeline.init_params(config.embedding)
+    functions = [fn for fn in analyze_contract(code).functions if fn.blocks]
+    assert None in [fn.selector for fn in functions]  # the fallback
+    ungated = embed_contract(
+        [(fn, list(enumerate_paths(fn, config.max_paths).paths))
+         for fn in functions], vocab, params, config.embedding,
+        use_sequence=use_sequence, use_graph=use_graph)
+    expected = [f for emb in ungated
+                for f in decide_similar(emb, index, config.threshold)]
+    (res,) = cmd_detect(config, [str(target)], index=index, vocab=vocab,
+                        params=params)
+    assert res.error is None
+    assert {f.query_function_id[1] for f in expected} == \
+        {signature_selector(MINT), signature_selector(APPROVE)}
+    assert all(f.max_block_distance > 0 for f in expected)  # no clones
+    assert _finding_bits(res.findings) == _finding_bits(expected)
+    assert res.counters["functions_embedded"] == 2
+    assert res.counters["functions_gated"] == len(functions) - 2 == 3
+
+
+def test_selector_gate_never_embeds_a_function_it_cannot_match(
+        mixed_index, tmp_path, monkeypatch):
+    config, _ = mixed_index
+    code = _mixed_contract()
+    target = tmp_path / "mixed.bin"
+    target.write_bytes(code)
+    passed = []
+
+    def spy(items, *args, **kwargs):
+        passed.extend(cfg.selector for cfg, _ in items)
+        return embed_contract(items, *args, **kwargs)
+    monkeypatch.setattr(pipeline, "embed_contract", spy)
+    (res,) = cmd_detect(config, [str(target)])
+    assert res.error is None
+    assert sorted(passed) == sorted([signature_selector(MINT),
+                                     signature_selector(APPROVE)])
+
+
+def test_detect_without_an_indexed_selector_embeds_nothing(mixed_index,
+                                                          tmp_path):
+    config, _ = mixed_index
+    clean = tmp_path / "clean.bin"
+    clean.write_bytes(build_contract([("getConfig()", getter_body(1)),
+                                      ("pause()", cei_mint_body(2))]))
+    (res,) = cmd_detect(config, [str(clean)])
+    assert res.error is None
+    assert res.findings == []
+    assert res.counters["functions_embedded"] == 0
+    assert res.counters["paths_encoded"] == 0
+    assert res.counters["functions_gated"] == 3  # getter, pause, fallback
+
+
+def test_detect_error_in_one_contract_spares_the_others(mixed_index,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """An exception from the encoder pass becomes that contract's error;
+    the call goes on and scans the next file."""
+    config, _ = mixed_index
+    bad, good = tmp_path / "bad.bin", tmp_path / "good.bin"
+    bad.write_bytes(build_contract([(APPROVE, setter_body(2))]))
+    good.write_bytes(build_contract([(MINT, vulnerable_mint_body(9))]))
+
+    def diverged(items, *args, **kwargs):
+        if any(cfg.selector == signature_selector(APPROVE)
+               for cfg, _ in items):
+            raise FloatingPointError("non-finite block vector")
+        return embed_contract(items, *args, **kwargs)
+    monkeypatch.setattr(pipeline, "embed_contract", diverged)
+    res_bad, res_good = cmd_detect(config, [str(bad), str(good)])
+    assert res_bad.error == "non-finite block vector"
+    assert res_bad.findings == []
+    assert res_bad.code_hash  # analysis succeeded before the failure
+    assert res_good.error is None
+    assert res_good.findings
 
 
 def test_detect_counts_functions_at_path_cap(built_index, tmp_path):
