@@ -225,7 +225,7 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
 
     dispatcher_blocks = {bid for bid in spine
                          if _find_selector_patterns(blocks[bid])} | {0}
-    entry_ids = set(selector_entries.values())
+    entry_blocks = set(selector_entries.values())
 
     if not selector_entries:
         cfg = _carve_function(blocks, edges, succ, entry=0, excluded=set(),
@@ -235,18 +235,18 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
     # fallback entry: where the spine ends up after every selector misses
     fallback_entry = None
     for bid in reversed(spine):
-        if bid not in dispatcher_blocks and bid not in entry_ids:
+        if bid not in dispatcher_blocks and bid not in entry_blocks:
             fallback_entry = bid
             break
 
     functions = []
     for selector in sorted(selector_entries):
         entry = selector_entries[selector]
-        excluded = dispatcher_blocks | (entry_ids - {entry})
+        excluded = dispatcher_blocks | (entry_blocks - {entry})
         functions.append(_carve_function(blocks, edges, succ, entry, excluded,
                                          selector, code_hash))
     if fallback_entry is not None:
-        excluded = dispatcher_blocks | entry_ids
+        excluded = dispatcher_blocks | entry_blocks
         functions.append(_carve_function(blocks, edges, succ, fallback_entry,
                                          excluded, None, code_hash))
     return SelectorMap(dict(selector_entries), fallback_entry), functions

@@ -29,8 +29,7 @@ from .pipeline import (DEFAULT_THRESHOLDS, PipelineConfig, cmd_ablate,
 API_KEY_ENV = "DELTASCAN_API_KEY"
 
 _BOOL_FIELDS = {"use_sequence", "use_graph", "allow_no_stages"}
-_INT_FIELDS = {"max_paths", "workers", "seed"}
-_FLOAT_FIELDS = {"threshold"}
+_NUMBER_FIELDS = {"max_paths": int, "seed": int, "threshold": float}
 _STR_FIELDS = {"index_path", "cache_dir", "api_base_url", "api_key"}
 
 
@@ -49,10 +48,13 @@ def parse_config_file(path) -> dict:
             if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
                 raise DeltascanError(f"{path}:{lineno}: bad boolean {value!r}")
             values[key] = value.lower() in ("true", "1", "yes")
-        elif key in _INT_FIELDS:
-            values[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(value)
+        elif key in _NUMBER_FIELDS:
+            kind = _NUMBER_FIELDS[key]
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise DeltascanError(
+                    f"{path}:{lineno}: bad {kind.__name__} {value!r}") from None
         elif key in _STR_FIELDS:
             values[key] = value
         else:
@@ -70,7 +72,6 @@ def build_pipeline_config(args) -> PipelineConfig:
         "threshold": args.threshold,
         "max_paths": args.max_paths,
         "index_path": args.index,
-        "workers": args.workers,
         "cache_dir": args.cache_dir,
         "api_base_url": args.api_url,
     }
@@ -85,7 +86,10 @@ def build_pipeline_config(args) -> PipelineConfig:
     if args.seed is not None:
         seed = args.seed
     embedding = EmbeddingConfig() if seed is None else EmbeddingConfig(seed=seed)
-    return PipelineConfig(embedding=embedding, **values)
+    try:
+        return PipelineConfig(embedding=embedding, **values)
+    except ValueError as exc:
+        raise DeltascanError(f"bad configuration: {exc}") from None
 
 
 def _load_code(args) -> bytes:
@@ -216,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-paths", type=int, dest="max_paths",
                         help="path enumeration cap per function (default 64)")
     parser.add_argument("--index", help="index file path")
-    parser.add_argument("--workers", type=int, help="parallel contract workers")
     parser.add_argument("--no-seq", action="store_true",
                         help="disable the sequence encoder stage")
     parser.add_argument("--no-graph", action="store_true",

@@ -127,8 +127,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     encoded = dict.fromkeys(k for function in keys if function
                             for k in function)  # token tuple -> (rows, cut)
     if encoded:
-        batch = [embed_path(list(k), vocab, config, path_index=i)
-                 for i, k in enumerate(encoded)]
+        batch = [embed_path(list(k), vocab, config) for k in encoded]
         out = encode_sequences(batch, params, config)
         for key, pe, rows in zip(list(encoded), batch, out):
             encoded[key] = (rows, pe.truncated)

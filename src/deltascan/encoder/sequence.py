@@ -4,7 +4,7 @@ The encoder is a 6-layer multi-head attention stack with exact softmax
 attention, plus position-wise feed-forward blocks, residual connections,
 and layer normalization.
 
-A batch is encoded packed: the valid rows of its paths are laid end to end
+A batch is encoded packed: the rows of its paths are laid end to end
 in one (T, d) array, shortest path first, with no padding, and each path is
 a segment of it. The projections, layer norms and feed-forward blocks run
 per row on the whole pack. Attention runs per group of consecutive
@@ -36,27 +36,25 @@ _LN_EPS = np.float32(1e-5)
 
 @dataclass(frozen=True)
 class PathEmbedding:
-    path_index: int
-    matrix: np.ndarray   # m_max x word_dim, rows >= valid_len are zero
-    valid_len: int
-    mask: np.ndarray     # bool, length m_max
+    """The word vectors of a path's first m_max tokens, one float32 row
+    per token and no padding; ``truncated`` when the path was longer."""
+    rows: np.ndarray     # (valid_len, word_dim)
     truncated: bool
+
+    @property
+    def valid_len(self) -> int:
+        return self.rows.shape[0]
 
 
 def embed_path(tokens: list, vocab: Vocabulary,
-               config: EmbeddingConfig | None = None,
-               path_index: int = 0) -> PathEmbedding:
-    """Stack per-token word vectors, zero-padded/truncated to m_max."""
+               config: EmbeddingConfig | None = None) -> PathEmbedding:
+    """Stack the word vectors of the path's first m_max tokens."""
     config = config or EmbeddingConfig()
-    m_max = config.m_max
-    truncated = len(tokens) > m_max
-    tokens = tokens[:m_max]
-    matrix = np.zeros((m_max, config.word_dim), dtype=np.float32)
+    tokens, truncated = tokens[:config.m_max], len(tokens) > config.m_max
+    rows = np.zeros((len(tokens), config.word_dim), dtype=np.float32)
     for row, token in enumerate(tokens):
-        matrix[row] = vocab.lookup(token)
-    mask = np.zeros(m_max, dtype=bool)
-    mask[:len(tokens)] = True
-    return PathEmbedding(path_index, matrix, len(tokens), mask, truncated)
+        rows[row] = vocab.lookup(token)
+    return PathEmbedding(rows, truncated)
 
 
 def _layer_norm(x, gain, bias):
@@ -135,9 +133,9 @@ def encode_sequences(batch, params: EncoderParams,
     if not batch:
         raise DimensionMismatch("empty batch")
     for p in batch:
-        if p.matrix.shape[1] != config.word_dim:
+        if p.rows.shape[1:] != (config.word_dim,):
             raise DimensionMismatch(
-                f"word dim {p.matrix.shape[1]} != {config.word_dim}")
+                f"path rows {p.rows.shape} != (n, {config.word_dim})")
 
     out = [np.zeros((0, config.seq_dim), dtype=np.float32)] * len(batch)
     owners = sorted((i for i, p in enumerate(batch) if p.valid_len > 0),
@@ -145,7 +143,7 @@ def encode_sequences(batch, params: EncoderParams,
     if not owners:
         return out
     lengths = [batch[i].valid_len for i in owners]
-    rows = [batch[i].matrix[:n] for i, n in zip(owners, lengths)]
+    rows = [batch[i].rows for i in owners]
     if lengths == [1]:
         # numpy sends a one-row product to gemv, which rounds differently
         # from the gemm of longer packs: add an unowned one-row segment

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
+import tempfile
 import time
 from pathlib import Path
 
@@ -104,12 +106,23 @@ class FetchClient:
                 continue
         else:
             raise last_error or NetworkError("fetch failed")
-        hex_code = result[2:] if result.startswith("0x") else result
-        code = bytes.fromhex(hex_code) if hex_code else b""
+        try:
+            code = bytes.fromhex(result.removeprefix("0x"))
+        except (AttributeError, ValueError):
+            raise NetworkError(f"malformed code {result!r}") from None
         if not code:
             raise NotAContract(address)
+        # written whole or not at all: the cache trusts any file it finds
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(code)
+        fd, name = tempfile.mkstemp(dir=self.cache_dir, suffix=".part")
+        os.close(fd)
+        tmp = Path(name)
+        try:
+            tmp.write_bytes(code)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     def fetch_many(self, addresses) -> dict:

@@ -4,9 +4,7 @@ and binary persistence.
 The store is exact: it keeps every block vector, grouped by function, and
 buckets the functions by selector. The decision rule compares a query
 function with every stored function under its selector, so it never misses
-one within the threshold. Distances are Euclidean. Queries are read-only
-and thread-safe; inserts require exclusive access (single-writer,
-multi-reader).
+one within the threshold. Distances are Euclidean.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class EntryLabel:
 
 @dataclass(frozen=True)
 class IndexEntry:
-    entry_id: int
     vector: np.ndarray
     label: EntryLabel
 
@@ -75,30 +72,28 @@ class AnnIndex:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.entries: list = []           # IndexEntry, dense ids
-        self._groups: dict = {}           # function_key -> [entry ids]
+        self.entries: list = []           # IndexEntry, in insertion order
+        self._groups: dict = {}           # function_key -> [entry positions]
         self._by_selector: dict = {}      # selector -> [function keys]
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def insert(self, entry: IndexEntry) -> int:
+    def insert(self, entry: IndexEntry) -> None:
         vec = np.asarray(entry.vector, dtype=np.float32)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {vec.shape} != ({self.dim},)")
-        entry_id = len(self.entries)
         label = entry.label
-        self.entries.append(IndexEntry(entry_id, vec, label))
         if label.function_key not in self._groups:
             self._groups[label.function_key] = []
             self._by_selector.setdefault(label.selector, []).append(
                 label.function_key)
-        self._groups[label.function_key].append(entry_id)
-        return entry_id
+        self._groups[label.function_key].append(len(self.entries))
+        self.entries.append(IndexEntry(vec, label))
 
     def query(self, vector, k: int = 1) -> list:
-        """k nearest entries as (entry_id, euclidean_distance), ascending;
-        an exact scan, ties in insertion order."""
+        """k nearest entries as (position in ``entries``, euclidean
+        distance), ascending; an exact scan, ties in insertion order."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self.entries:
@@ -223,7 +218,7 @@ def load_index(path) -> AnnIndex:
         vec = np.frombuffer(reader.take(4 * dim), dtype="<f4").copy()
         label = EntryLabel(contract, function_ref, selector, block_id,
                            _DEFECT_FROM_CODE[defect_code])
-        index.insert(IndexEntry(0, vec, label))
+        index.insert(IndexEntry(vec, label))
     if reader.pos != len(payload):
         raise CorruptFile("trailing bytes in index file")
     return index

@@ -10,7 +10,6 @@ detectors run (that is the whole point of the cheaper second phase).
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import logging
 import time
@@ -55,13 +54,10 @@ class PipelineConfig:
     use_sequence: bool = True
     use_graph: bool = True
     allow_no_stages: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
         if self.max_paths < 1:
             raise ValueError("max_paths must be >= 1")
         if not (self.use_sequence or self.use_graph or self.allow_no_stages):
@@ -76,10 +72,8 @@ class PipelineConfig:
 @dataclass
 class ScanResult:
     contract: str
-    source: str
     code_hash: str
     findings: list = field(default_factory=list)
-    detector_records: list = field(default_factory=list)
     timings_ms: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     error: str | None = None
@@ -122,14 +116,13 @@ def read_bytecode_file(path) -> bytes:
 @dataclass
 class _Analyzed:
     name: str
-    source: str
     analysis: ContractAnalysis
     paths: dict            # function index -> list of ExecutionPath
     hit_cap: int
     timings_ms: dict
 
 
-def _analyze_one(name: str, source: str, code: bytes, max_paths: int) -> _Analyzed:
+def _analyze_one(name: str, code: bytes, max_paths: int) -> _Analyzed:
     timings = {}
     t0 = time.perf_counter()
     analysis = analyze_contract(code)
@@ -142,7 +135,7 @@ def _analyze_one(name: str, source: str, code: bytes, max_paths: int) -> _Analyz
         paths[i] = list(enum.paths)
         hit_cap += int(enum.hit_cap)
     timings["paths"] = (time.perf_counter() - t0) * 1e3
-    return _Analyzed(name, source, analysis, paths, hit_cap, timings)
+    return _Analyzed(name, analysis, paths, hit_cap, timings)
 
 
 def _contract_corpus(analyzed: _Analyzed) -> list:
@@ -167,13 +160,6 @@ def _load_inputs(inputs) -> tuple:
     return bytecode, reports
 
 
-def _map_workers(config, work, func):
-    if config.workers == 1 or len(work) <= 1:
-        return [func(item) for item in work]
-    with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
-        return list(pool.map(func, work))
-
-
 def cmd_embed(config: PipelineConfig, inputs) -> dict:
     """Analyze contracts, gather defect labels, embed defective functions,
     and write the index (plus its vocabulary sidecar)."""
@@ -186,18 +172,15 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
         report_errors.extend(errors)
 
     failures = {}
-
-    def analyze(path):
+    analyzed = []
+    for path in bytecode_files:
         try:
-            code = read_bytecode_file(path)
-            return _analyze_one(Path(path).stem, str(path), code,
-                                config.max_paths)
+            analyzed.append(_analyze_one(Path(path).stem,
+                                         read_bytecode_file(path),
+                                         config.max_paths))
         except Exception as exc:  # batch never aborts on one contract
             logger.warning("embed: %s failed: %s", path, exc)
             failures[str(path)] = str(exc)
-            return None
-
-    analyzed = [a for a in _map_workers(config, bytecode_files, analyze) if a]
 
     # builtin detector + external report mapping
     selector_maps = {a.name: (a.analysis.program.code_hash,
@@ -260,7 +243,7 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
             selector = a.analysis.functions[i].selector or b""
             for block_id, vec in enumerate(by_function[i].block_vectors):
                 label = EntryLabel(a.name, ref, selector, block_id, defect)
-                index.insert(IndexEntry(0, vec, label))
+                index.insert(IndexEntry(vec, label))
 
     save_index(index, config.index_path)
     save_vocabulary(vocab, config.vocab_path)
@@ -302,7 +285,7 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                 vocab, params) -> ScanResult:
     """Embed, in one pass, the functions of one analyzed contract that pass
     the selector gate, and decide each against the index."""
-    result = ScanResult(a.name, a.source, a.analysis.program.code_hash.hex(),
+    result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
     functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
                  if _can_match(fn, index)]
@@ -341,17 +324,16 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
     if index is None:
         index, vocab, params = _load_artifacts(config)
 
-    def scan(path) -> ScanResult:
+    results = []
+    for path in bytecode_files:
         name, a = Path(path).stem, None
         try:
-            code = read_bytecode_file(path)
-            a = _analyze_one(name, str(path), code, config.max_paths)
-            return _detect_one(a, config, index, vocab, params)
+            a = _analyze_one(name, read_bytecode_file(path), config.max_paths)
+            results.append(_detect_one(a, config, index, vocab, params))
         except Exception as exc:  # the call never aborts on one contract
             code_hash = a.analysis.program.code_hash.hex() if a else ""
-            return ScanResult(name, str(path), code_hash, error=str(exc))
-
-    return _map_workers(config, bytecode_files, scan)
+            results.append(ScanResult(name, code_hash, error=str(exc)))
+    return results
 
 
 def cmd_ablate(config: PipelineConfig, inputs,

@@ -4,8 +4,8 @@
 `deltascan.encoder.encode_sequences` and returns the same encoding, one
 (valid_len, seq_dim) float32 array per path, but computes it in float64 on
 the batch
-padded to its longest path, with padded keys masked out of the softmax
-and padded rows zeroed after every layer. It shares no code with the
+padded with zero rows to its longest path, with padded keys masked out of
+the softmax and padded rows zeroed after every layer. It shares no code with the
 packed encoder, so a test can compare the two.
 """
 
@@ -19,13 +19,16 @@ def _layer_norm(x, gain, bias):
 
 
 def encode_reference(batch, params, config):
-    mask = np.stack([p.mask for p in batch])
-    length = max(1, int(mask.sum(axis=1).max()))
-    rows = mask[:, :length, None]         # (n, L, 1)
-    keys = mask[:, None, None, :length]   # (n, 1, 1, L)
+    valid = np.array([p.valid_len for p in batch])
+    length = max(1, int(valid.max()))
+    mask = np.arange(length) < valid[:, None]   # (n, L)
+    rows = mask[:, :, None]               # (n, L, 1)
+    keys = mask[:, None, None, :]         # (n, 1, 1, L)
     n, heads = len(batch), config.seq_heads
     head_dim = config.seq_dim // heads
-    x = np.stack([p.matrix[:length] for p in batch]).astype(np.float64)
+    x = np.zeros((n, length, config.word_dim))
+    for i, p in enumerate(batch):
+        x[i, :p.valid_len] = p.rows
     x = np.where(rows, x @ params.input_proj + params.input_bias, 0.0)
 
     def split(mat):  # (n, h, L, dh)

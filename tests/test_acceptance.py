@@ -143,13 +143,16 @@ def test_criterion_05_masking_pooling_graph_oracle():
     corpus = [["PUSH1", "ADD", "MSTORE", "RETURN", "STOP", "CALL"]] * 5
     vocab = train_vocabulary(corpus, config)
 
+    # path isolation: a longer path poked with 9.0 in the same batch
+    # leaves the clean path's rows as they are alone
     clean = embed_path(["PUSH1", "ADD", "MSTORE", "RETURN"], vocab, config)
-    poked = clean.matrix.copy()
-    poked[100:200] = 9.0
-    dirty = PathEmbedding(0, poked, clean.valid_len, clean.mask, False)
-    mask_delta = float(np.abs(
+    neighbour = embed_path(["PUSH1", "ADD", "MSTORE", "RETURN"] * 50, vocab,
+                           config).rows.copy()
+    neighbour[100:200] = 9.0
+    isolation_delta = float(np.abs(
         encode_sequences([clean], params, config)[0] -
-        encode_sequences([dirty], params, config)[0]).max())
+        encode_sequences([PathEmbedding(neighbour, False), clean],
+                         params, config)[1]).max())
 
     row = np.full((6, config.graph_dim), -0.75, dtype=np.float32)
     pool_delta = float(np.abs(pool_block(row, params) - row[0]).max())
@@ -161,9 +164,9 @@ def test_criterion_05_masking_pooling_graph_oracle():
         encode_graph(chain, params, config) -
         dense_gat(feats, [(0, 1), (1, 2)], params.gat_layers)).max())
 
-    ok = mask_delta <= 1e-6 and pool_delta <= 1e-6 and gat_delta <= 1e-5
-    _verdict(5, "masking/pooling/graph-oracle properties", ok,
-             f"mask {mask_delta:.2e}<=1e-6, pool {pool_delta:.2e}<=1e-6, "
+    ok = isolation_delta <= 1e-6 and pool_delta <= 1e-6 and gat_delta <= 1e-5
+    _verdict(5, "path-isolation/pooling/graph-oracle properties", ok,
+             f"neighbour {isolation_delta:.2e}<=1e-6, pool {pool_delta:.2e}<=1e-6, "
              f"gat {gat_delta:.2e}<=1e-5")
 
 
@@ -226,7 +229,7 @@ def test_criterion_08_exact_decision_and_persistence(tmp_path):
             label = (f"c{sel[-1]}_{j}", f"f{j}()", defects[j % 3])
             for b in range(blocks):
                 vec = bodies[body, b] + sigma * rng.standard_normal(128)
-                index.insert(IndexEntry(0, vec.astype(np.float32), EntryLabel(
+                index.insert(IndexEntry(vec.astype(np.float32), EntryLabel(
                     label[0], label[1], sel, b, label[2])))
     stored = np.stack([e.vector for e in index.entries]).astype(np.float64)
     keys = [(e.label.selector,) + e.label.function_key for e in index.entries]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from deltascan.errors import BadAddress, NetworkError, NotAContract
@@ -98,6 +100,35 @@ def test_fetch_many_collects_failures(tmp_path):
     results = client.fetch_many([ADDR, ADDR2])
     assert results[ADDR].read_bytes() == b"\x60\x01"
     assert isinstance(results[ADDR2], NetworkError)
+    # a result that is not whole hex bytes fails its own address only,
+    # and nothing is cached for it
+    for bad in ("0xzz", "0xabc", None):
+        client, _ = _client(tmp_path / str(bad), [bad, "0x6001"])
+        results = client.fetch_many([ADDR, ADDR2])
+        assert isinstance(results[ADDR], NetworkError)
+        assert results[ADDR2].read_bytes() == b"\x60\x01"
+        assert [p.name for p in (tmp_path / str(bad) / "cache").iterdir()] \
+            == [f"{ADDR2}.bin"]
+
+
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+    """A write that fails part-way leaves neither a cache entry nor a
+    temporary file, so the next fetch goes to the transport again."""
+    client, transport = _client(tmp_path, ["0x60016002", "0x60016002"])
+    real_write_bytes = Path.write_bytes
+
+    def half_then_fail(self, data):
+        real_write_bytes(self, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        client.fetch(ADDR)
+    assert list((tmp_path / "cache").iterdir()) == []
+    monkeypatch.undo()
+    path = client.fetch(ADDR)
+    assert path.read_bytes() == bytes.fromhex("60016002")
+    assert transport.calls == [ADDR, ADDR]
 
 
 def test_fetch_many_validates_upfront(tmp_path):

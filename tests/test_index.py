@@ -21,7 +21,7 @@ def _label(contract="C", ref="mint(address,uint256)", selector=b"\x40\xc1\x0f\x1
 def _entry(vec, **kwargs):
     v = np.zeros(DIM, dtype=np.float32)
     v[:len(vec)] = vec
-    return IndexEntry(0, v, _label(**kwargs))
+    return IndexEntry(v, _label(**kwargs))
 
 
 def _clustered(count, seed=7, centers=40, sigma=0.4):
@@ -37,7 +37,7 @@ def _clustered(count, seed=7, centers=40, sigma=0.4):
 def test_self_retrieval_distance_zero():
     index = AnnIndex(DIM)
     v = np.arange(DIM, dtype=np.float32)
-    index.insert(IndexEntry(0, v, _label()))
+    index.insert(IndexEntry(v, _label()))
     ((entry_id, dist),) = index.query(v, k=1)
     assert entry_id == 0
     assert dist <= 1e-9
@@ -86,7 +86,7 @@ def test_k_larger_than_count():
 def test_dimension_mismatch():
     index = AnnIndex(DIM)
     with pytest.raises(DimensionMismatch):
-        index.insert(IndexEntry(0, np.zeros(3, dtype=np.float32), _label()))
+        index.insert(IndexEntry(np.zeros(3, dtype=np.float32), _label()))
     index.insert(_entry([1.0]))
     with pytest.raises(DimensionMismatch):
         index.query(np.zeros(5, dtype=np.float32))
@@ -96,7 +96,7 @@ def test_distances_match_linear_scan_values():
     vectors = _clustered(300)
     index = AnnIndex(DIM)
     for i, v in enumerate(vectors):
-        index.insert(IndexEntry(0, v, _label(block_id=i)))
+        index.insert(IndexEntry(v, _label(block_id=i)))
     rng = np.random.default_rng(1)
     for _ in range(20):
         probe = vectors[rng.integers(0, 300)] + \
@@ -110,7 +110,7 @@ def test_recall_vs_linear_scan_1000():
     vectors = _clustered(1000)
     index = AnnIndex(DIM)
     for i, v in enumerate(vectors):
-        index.insert(IndexEntry(0, v, _label(block_id=i)))
+        index.insert(IndexEntry(v, _label(block_id=i)))
     rng = np.random.default_rng(2)
     probes = vectors[rng.integers(0, 1000, size=100)] + \
         0.1 * rng.standard_normal((100, DIM)).astype(np.float32)
@@ -127,7 +127,7 @@ def test_save_load_query_equivalence(tmp_path):
     index = AnnIndex(DIM)
     for i, v in enumerate(vectors):
         index.insert(IndexEntry(
-            0, v, _label(contract=f"c{i % 5}", block_id=i)))
+            v, _label(contract=f"c{i % 5}", block_id=i)))
     path = tmp_path / "round.idx"
     save_index(index, path)
     loaded = load_index(path)
@@ -214,7 +214,7 @@ def _populated_index(block_vecs, **label_kwargs):
     for i, vec in enumerate(block_vecs):
         v = np.zeros(DIM, dtype=np.float32)
         v[:len(vec)] = vec
-        index.insert(IndexEntry(0, v, _label(block_id=i, **label_kwargs)))
+        index.insert(IndexEntry(v, _label(block_id=i, **label_kwargs)))
     return index
 
 
@@ -270,9 +270,9 @@ def test_decide_similar_finds_match_among_other_selector_crowd():
     index = AnnIndex(DIM)
     v = np.ones(DIM, dtype=np.float32)
     for i in range(60):
-        index.insert(IndexEntry(0, v, _label(
+        index.insert(IndexEntry(v, _label(
             contract=f"crowd{i}", selector=struct.pack(">I", i + 1))))
-    index.insert(IndexEntry(0, v, _label(contract="target")))
+    index.insert(IndexEntry(v, _label(contract="target")))
     findings = decide_similar(_query_fn([[1.0] * DIM]), index)
     assert [f.matched_contract for f in findings] == ["target"]
     assert findings[0].block_distances == (0.0,)

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import sys
 from dataclasses import replace
@@ -70,8 +71,6 @@ def test_read_bytecode_file_hex_and_binary(tmp_path):
 def test_config_invariants():
     with pytest.raises(ValueError):
         PipelineConfig(threshold=0.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(workers=0)
     with pytest.raises(ValueError):
         PipelineConfig(use_sequence=False, use_graph=False)
     PipelineConfig(use_sequence=False, use_graph=False, allow_no_stages=True)
@@ -403,18 +402,6 @@ def test_detect_batch_resilience(built_index, corpus_dir, tmp_path):
     assert results[1].findings == []
 
 
-def test_detect_with_workers(built_index, corpus_dir):
-    config, _ = built_index
-    inputs = sorted(map(str, corpus_dir.glob("*.bin")))
-    serial = cmd_detect(config, inputs)
-    from dataclasses import replace
-    parallel = cmd_detect(replace(config, workers=4), inputs)
-    assert [(r.contract, sorted(f.matched_contract for f in r.findings))
-            for r in serial] == \
-        [(r.contract, sorted(f.matched_contract for f in r.findings))
-         for r in parallel]
-
-
 def test_ablate_counts_monotone_in_threshold(built_index, corpus_dir):
     config, _ = built_index
     inputs = sorted(map(str, corpus_dir.glob("*.bin")))[:3]
@@ -505,6 +492,41 @@ def test_cli_config_file(tmp_path):
     no_eq.write_text("threshold 0.5")
     with pytest.raises(DeltascanError):
         parse_config_file(no_eq)
+    workers = tmp_path / "workers.conf"
+    workers.write_text("workers = 2")
+    with pytest.raises(DeltascanError, match="unknown key 'workers'"):
+        parse_config_file(workers)
+    for text in ("max_paths = abc", "seed = 1.5", "threshold = high"):
+        bad_value = tmp_path / "value.conf"
+        bad_value.write_text(f"# scan settings\n{text}\n")
+        with pytest.raises(DeltascanError, match=re.escape(f"{bad_value}:2: bad ")):
+            parse_config_file(bad_value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threshold", "-1"],
+    ["--max-paths", "0"],
+    ["--no-seq", "--no-graph"],
+])
+def test_cli_rejected_config_value_is_one_error_line(argv, tmp_path, capsys):
+    code = tmp_path / "a.bin"
+    code.write_text("0x6001")
+    assert main([*argv, "--index", str(tmp_path / "x.idx"),
+                 "detect", str(code)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_bad_config_file_value_is_one_error_line(tmp_path, capsys):
+    conf = tmp_path / "scan.conf"
+    conf.write_text("threshold = 0.2\nmax_paths = abc\n")
+    code = tmp_path / "a.bin"
+    code.write_text("0x6001")
+    assert main(["--config", str(conf), "detect", str(code)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {conf}:2: bad int 'abc'\n"
 
 
 def test_cli_env_api_key(tmp_path, monkeypatch):

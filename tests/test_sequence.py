@@ -11,33 +11,34 @@ from oracles.attention_ref import encode_reference
 
 
 def test_embed_path_shape_and_padding(small_vocab, config):
+    """A path holds one word-vector row per token and no padding."""
     pe = embed_path(["PUSH1", "ADD"], small_vocab, config)
-    assert pe.matrix.shape == (config.m_max, config.word_dim)
+    assert pe.rows.shape == (2, config.word_dim)
+    assert pe.rows.dtype == np.float32
     assert pe.valid_len == 2
-    np.testing.assert_array_equal(pe.matrix[0], small_vocab.lookup("PUSH1"))
-    np.testing.assert_array_equal(pe.matrix[1], small_vocab.lookup("ADD"))
-    assert not pe.matrix[2:].any()
-    assert list(pe.mask[:3]) == [True, True, False]
+    np.testing.assert_array_equal(pe.rows[0], small_vocab.lookup("PUSH1"))
+    np.testing.assert_array_equal(pe.rows[1], small_vocab.lookup("ADD"))
     assert not pe.truncated
 
 
 def test_embed_path_empty(small_vocab, config):
     pe = embed_path([], small_vocab, config)
     assert pe.valid_len == 0
-    assert not pe.mask.any()
-    assert not pe.matrix.any()
+    assert pe.rows.shape == (0, config.word_dim)
+    assert not pe.truncated
 
 
 def test_embed_path_truncation(small_vocab, config):
     tokens = ["ADD"] * (config.m_max + 10)
     pe = embed_path(tokens, small_vocab, config)
     assert pe.valid_len == config.m_max
+    assert pe.rows.shape == (config.m_max, config.word_dim)
     assert pe.truncated
 
 
 def test_encode_output_shape(small_vocab, config, params):
-    batch = [embed_path(["PUSH1", "ADD", "STOP"], small_vocab, config,
-                        path_index=i) for i in range(3)]
+    batch = [embed_path(["PUSH1", "ADD", "STOP"], small_vocab, config)
+             for _ in range(3)]
     out = encode_sequences(batch, params, config)
     assert len(out) == 3
     for rows in out:
@@ -46,9 +47,9 @@ def test_encode_output_shape(small_vocab, config, params):
 
 
 def test_identical_paths_encode_identically(small_vocab, config, params):
-    a = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config, 0)
-    b = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config, 1)
-    filler = embed_path(["JUMPDEST", "STOP"], small_vocab, config, 2)
+    a = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config)
+    b = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config)
+    filler = embed_path(["JUMPDEST", "STOP"], small_vocab, config)
     out = encode_sequences([a, filler, b], params, config)
     np.testing.assert_array_equal(out[0], out[2])
 
@@ -58,17 +59,6 @@ def test_determinism(small_vocab, config, params):
     (o1,) = encode_sequences(batch, params, config)
     (o2,) = encode_sequences(batch, params, config)
     assert o1.tobytes() == o2.tobytes()
-
-
-def test_masked_rows_do_not_influence_output(small_vocab, config, params):
-    tokens = ["PUSH1", "MSTORE", "RETURN", "ADD"]
-    clean = embed_path(tokens, small_vocab, config)
-    dirty_matrix = clean.matrix.copy()
-    dirty_matrix[10:20] = 7.5  # poke masked padding rows
-    dirty = PathEmbedding(0, dirty_matrix, clean.valid_len, clean.mask, False)
-    out_clean = encode_sequences([clean], params, config)
-    out_dirty = encode_sequences([dirty], params, config)
-    assert np.abs(out_clean[0] - out_dirty[0]).max() <= 1e-6
 
 
 def test_output_holds_valid_rows_only(small_vocab, config, params):
@@ -86,10 +76,10 @@ def test_fully_masked_path_is_finite(small_vocab, config, params):
 
 
 def test_dimension_mismatch_rejected(params, config):
-    bad = PathEmbedding(0, np.zeros((config.m_max, 32), dtype=np.float32), 1,
-                        np.arange(config.m_max) < 1, False)
-    with pytest.raises(DimensionMismatch):
-        encode_sequences([bad], params, config)
+    for rows in (np.zeros((1, 32)), np.zeros((0, 32)), np.zeros(64)):
+        bad = PathEmbedding(rows.astype(np.float32), False)
+        with pytest.raises(DimensionMismatch):
+            encode_sequences([bad], params, config)
     with pytest.raises(DimensionMismatch):
         encode_sequences([], params, config)
 
@@ -138,11 +128,8 @@ def test_attention_segments_do_not_interact(params, config):
 
 
 def _random_path(rng, config, valid_len, magnitude=1.0):
-    matrix = np.zeros((config.m_max, config.word_dim), dtype=np.float32)
-    matrix[:valid_len] = magnitude * rng.standard_normal(
-        (valid_len, config.word_dim))
-    return PathEmbedding(0, matrix, valid_len,
-                         np.arange(config.m_max) < valid_len, False)
+    rows = magnitude * rng.standard_normal((valid_len, config.word_dim))
+    return PathEmbedding(rows.astype(np.float32), False)
 
 
 @pytest.mark.parametrize("lengths, magnitude", [
