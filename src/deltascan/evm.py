@@ -8,9 +8,13 @@ so re-serialization is always byte-exact.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import DeltascanError
+# keccak256 is not called here (code_hash is SHA-256), but stays importable
+# from this module: bench/spans.py hooks ``evm.keccak256``
 from .keccak import keccak256
 
 __all__ = [
@@ -110,6 +114,8 @@ MNEMONICS: dict = {op.mnemonic: op for op in OPCODES if op.is_defined}
 
 @dataclass(frozen=True)
 class Instruction:
+    # disassemble() writes these fields straight into __dict__: a field
+    # added here must be set there too (test_evm compares it with __init__)
     offset: int
     opcode: Opcode
     immediate: bytes = b""
@@ -142,7 +148,9 @@ class Program:
 
     @cached_property
     def code_hash(self) -> bytes:
-        return keccak256(self.code_body)
+        """SHA-256 of the code body (metadata trailer stripped): an
+        identity only, so hashlib's C digest serves; not EXTCODEHASH."""
+        return hashlib.sha256(self.code_body).digest()
 
 
 def _cbor_item_end(blob: bytes, pos: int, depth: int = 0):
@@ -228,15 +236,25 @@ def strip_metadata(code: bytes) -> tuple:
 def disassemble(code_body: bytes) -> Program:
     """Decode a metadata-free byte string into a Program. Never fails."""
     instructions = []
+    # The loop runs once per instruction, thousands of times per contract.
+    # Names are bound to locals, and each frozen Instruction's fields are
+    # written straight into its __dict__: the generated __init__ does the
+    # same with one object.__setattr__ call per field, about 3x slower.
+    append, opcodes = instructions.append, OPCODES
+    new, cls = object.__new__, Instruction
     pos = 0
     end = len(code_body)
     while pos < end:
-        opcode = OPCODES[code_body[pos]]
-        imm_len = opcode.immediate_len
-        immediate = code_body[pos + 1:pos + 1 + imm_len]
-        truncated = len(immediate) < imm_len
-        instructions.append(Instruction(pos, opcode, immediate, truncated))
-        pos += 1 + len(immediate)
+        opcode = opcodes[code_body[pos]]
+        nxt = pos + 1 + opcode.immediate_len
+        ins = new(cls)
+        fields = ins.__dict__
+        fields["offset"] = pos
+        fields["opcode"] = opcode
+        fields["immediate"] = code_body[pos + 1:nxt]
+        fields["truncated"] = nxt > end  # a PUSH running past the end
+        append(ins)
+        pos = nxt
     return Program(tuple(instructions), b"", code_body)
 
 
@@ -271,8 +289,12 @@ def assemble(source) -> bytes:
 
 
 def parse_hex_input(text: str) -> bytes:
-    """Parse a hex string with optional 0x prefix into bytes."""
+    """Parse a hex string with optional 0x prefix into bytes; raises
+    DeltascanError with the reason when it is not an even-length hex string."""
     text = text.strip()
     if text.startswith(("0x", "0X")):
         text = text[2:]
-    return bytes.fromhex(text)
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise DeltascanError(f"input is not hex bytecode: {exc}") from None

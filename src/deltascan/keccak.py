@@ -4,6 +4,11 @@ Self-contained so the scanner has no crypto dependency; matches the
 digest produced by Solidity's keccak256 builtin. ``hashlib.sha3_256``
 pads differently (0x06, not 0x01), so it gives other digests.
 
+It serves the ABI function selectors (``detectors.signature_selector``),
+which must be Keccak-256 to match the dispatcher's PUSH4 constants. The
+code identity ``Program.code_hash`` is SHA-256 (``hashlib``), so a scan
+does not run this pure-Python permutation over a contract's code.
+
 The permutation is unrolled: the 25 lanes are locals named ``a{x}{y}``
 and each round's theta, rho + pi, chi and iota steps are written out.
 In CPython this hashes about 3.5x faster than loops over a lane list

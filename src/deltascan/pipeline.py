@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -100,16 +101,19 @@ class ScanResult:
         }
 
 
+_HEX = re.compile(r"[0-9a-fA-F]+")
+
+
 def read_bytecode_file(path) -> bytes:
     """Read a bytecode file: hex text (optional 0x prefix) or raw binary."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("ascii").strip()
-        body = text[2:] if text.startswith(("0x", "0X")) else text
-        if body and all(c in "0123456789abcdefABCDEF" for c in body):
-            return bytes.fromhex(body if len(body) % 2 == 0 else "0" + body)
-    except (UnicodeDecodeError, ValueError):
-        pass
+    except UnicodeDecodeError:
+        return raw
+    body = text[2:] if text.startswith(("0x", "0X")) else text
+    if _HEX.fullmatch(body):
+        return bytes.fromhex(body if len(body) % 2 == 0 else "0" + body)
     return raw
 
 

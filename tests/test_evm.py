@@ -1,13 +1,21 @@
+import dataclasses
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from deltascan.cfg import partition_blocks
 from deltascan.encoder.embed import _block_tokens
-from deltascan.evm import (MNEMONICS, OPCODES, assemble, disassemble,
-                           parse_hex_input, reserialize, strip_metadata)
-from fixtures import solc_metadata
+from deltascan.errors import DeltascanError
+from deltascan.evm import (MNEMONICS, OPCODES, Instruction, Program, assemble,
+                           disassemble, parse_hex_input, reserialize,
+                           strip_metadata)
+from fixtures import (MINT_SIGNATURE, build_contract, getter_body,
+                      solc_metadata, vulnerable_mint_body)
 from oracles.cbor_ref import CborError, decode_item
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_opcode_table_covers_all_bytes():
@@ -71,6 +79,60 @@ def test_round_trip_random_bytestrings():
         assert reserialize(disassemble(blob)) == blob
 
 
+def _reference_disassemble(code_body: bytes) -> Program:
+    """The plain loop: each Instruction built through its constructor."""
+    instructions = []
+    pos = 0
+    while pos < len(code_body):
+        opcode = OPCODES[code_body[pos]]
+        immediate = code_body[pos + 1:pos + 1 + opcode.immediate_len]
+        instructions.append(Instruction(pos, opcode, immediate,
+                                        len(immediate) < opcode.immediate_len))
+        pos += 1 + len(immediate)
+    return Program(tuple(instructions), b"", code_body)
+
+
+def _assert_same_program(code_body: bytes):
+    got, want = disassemble(code_body), _reference_disassemble(code_body)
+    assert got == want
+    for a, b in zip(got.instructions, want.instructions):
+        assert type(a) is Instruction
+        assert type(a.immediate) is type(b.immediate)
+        assert hash(a) == hash(b)
+
+
+def test_disassemble_equals_constructor_loop_on_random_bytes():
+    rng = random.Random(99)
+    for _ in range(500):
+        _assert_same_program(rng.randbytes(rng.randint(0, 600)))
+    _assert_same_program(b"")
+    _assert_same_program(bytes(range(256)))
+
+
+@pytest.mark.parametrize("code_body", [
+    b"\x60", b"\x7f" + b"\x01" * 31, b"\x60\x01\x61\x02",
+    b"\x00" * 5 + b"\x7f" + b"\xff" * 16,
+])
+def test_disassemble_equals_constructor_loop_on_truncated_push(code_body):
+    _assert_same_program(code_body)
+    assert disassemble(code_body).instructions[-1].truncated
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_disassemble_equals_constructor_loop_on_large_contracts(
+        seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpora
+    for contract in corpora.large_round(seed):
+        _assert_same_program(strip_metadata(contract.code)[0])
+
+
+def test_disassembled_instructions_stay_frozen():
+    ins = disassemble(b"\x60\x01").instructions[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ins.offset = 5
+
+
 def test_invalid_count_matches_undefined_bytes():
     # all-0xfe input: every byte is the designated INVALID opcode
     program = disassemble(b"\xfe" * 7)
@@ -117,6 +179,21 @@ def test_code_hash_covers_analyzed_region_only():
         disassemble(body).code_hash
 
 
+def test_code_hash_is_sha256_of_code_body():
+    code = build_contract([(MINT_SIGNATURE, vulnerable_mint_body()),
+                           ("owner()", getter_body(1))], with_metadata=True)
+    body, meta = strip_metadata(code)
+    assert meta
+    program = disassemble(body)
+    assert program.code_hash == hashlib.sha256(body).digest()
+    assert len(program.code_hash) == 32
+
+
+def test_code_hash_of_a_24kb_body():
+    body = random.Random(5).randbytes(24 * 1024)
+    assert disassemble(body).code_hash == hashlib.sha256(body).digest()
+
+
 @pytest.mark.parametrize("text,expected", [
     ("0x6001", b"\x60\x01"),
     ("6001", b"\x60\x01"),
@@ -124,6 +201,12 @@ def test_code_hash_covers_analyzed_region_only():
 ])
 def test_parse_hex_input(text, expected):
     assert parse_hex_input(text) == expected
+
+
+@pytest.mark.parametrize("text", ["zz", "0x123", "60 0g", "0x0x60"])
+def test_parse_hex_input_rejects_non_hex(text):
+    with pytest.raises(DeltascanError, match="not hex bytecode"):
+        parse_hex_input(text)
 
 
 def test_assemble_helper_round_trips():

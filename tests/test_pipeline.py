@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import re
 import shlex
@@ -15,6 +17,7 @@ from deltascan.encoder import embed_contract, embed_function
 from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError
+from deltascan.evm import strip_metadata
 from deltascan.pipeline import (PipelineConfig, cmd_ablate, cmd_detect,
                                 cmd_embed, read_bytecode_file)
 from fixtures import (MINT_SIGNATURE as MINT, build_contract, cei_mint_body,
@@ -66,6 +69,33 @@ def test_read_bytecode_file_hex_and_binary(tmp_path):
     bin_file = tmp_path / "b.bin"
     bin_file.write_bytes(b"\x60\x01\x00")
     assert read_bytecode_file(bin_file) == b"\x60\x01\x00"
+
+
+@pytest.mark.parametrize("content,expected", [
+    (b"0x6001", b"\x60\x01"),
+    (b"0X6001", b"\x60\x01"),
+    (b"6001", b"\x60\x01"),
+    (b"ABCDEF", b"\xab\xcd\xef"),
+    (b"0xaBcD", b"\xab\xcd"),
+    (b"123", b"\x01\x23"),            # odd length: a leading 0 is padded
+    (b"0x1", b"\x01"),
+    (b"  0x6001 \n", b"\x60\x01"),
+    (b"\t6001\r\n", b"\x60\x01"),
+    (b"60 01", b"60 01"),               # not hex: the raw bytes
+    (b"60g1", b"60g1"),
+    (b"0x0x60", b"0x0x60"),
+    (b"0x", b"0x"),
+    (b" 0x \n", b" 0x \n"),
+    (b"", b""),
+    (b"\n", b"\n"),
+    (b"\xff\x60\x01", b"\xff\x60\x01"),  # non-ASCII
+    (b"60\xe9", b"60\xe9"),
+    (b"\x60\x01\x00", b"\x60\x01\x00"),  # binary
+])
+def test_read_bytecode_file_hex_rules(tmp_path, content, expected):
+    path = tmp_path / "c.bin"
+    path.write_bytes(content)
+    assert read_bytecode_file(path) == expected
 
 
 def test_config_invariants():
@@ -369,6 +399,33 @@ def test_detect_never_runs_detectors(built_index, corpus_dir, monkeypatch):
     assert all(r.error is None for r in results)
 
 
+def test_scan_code_hash_is_sha256_of_stripped_body(built_index, tmp_path):
+    config, _ = built_index
+    code = build_contract([(MINT, vulnerable_mint_body())], with_metadata=True)
+    path = tmp_path / "meta.bin"
+    path.write_bytes(code)
+    (res,) = cmd_detect(config, [str(path)])
+    assert res.error is None
+    assert res.code_hash == hashlib.sha256(strip_metadata(code)[0]).hexdigest()
+
+
+def test_detect_never_calls_keccak(built_index, corpus_dir, monkeypatch):
+    config, _ = built_index
+    inputs = sorted(map(str, corpus_dir.glob("*.bin")))[:3]
+    want = [(r.code_hash, _finding_bits(r.findings))
+            for r in cmd_detect(config, inputs)]
+    assert any(bits for _, bits in want)
+
+    def boom(data):
+        raise AssertionError("a scan must not hash with keccak")
+    monkeypatch.setattr("deltascan.evm.keccak256", boom)
+    monkeypatch.setattr("deltascan.keccak.keccak256", boom)
+    monkeypatch.setattr("deltascan.detectors.keccak256", boom)
+    results = cmd_detect(config, inputs)
+    assert all(r.error is None for r in results)
+    assert [(r.code_hash, _finding_bits(r.findings)) for r in results] == want
+
+
 def test_detect_no_selector_overlap_yields_nothing(built_index, tmp_path):
     config, _ = built_index
     clean = tmp_path / "clean.bin"
@@ -437,6 +494,21 @@ def test_cli_disasm(tmp_path, capsys):
     assert main(["disasm", str(f)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["0 PUSH1 0x01", "2 PUSH1 0x02", "4 ADD"]
+
+
+@pytest.mark.parametrize("stdin", ["zz\n", "0x123\n"])
+def test_cli_bad_hex_on_stdin_is_one_error_line(stdin, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(["disasm", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not hex bytecode: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_hex_on_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0x6001\n"))
+    assert main(["disasm", "-"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 PUSH1 0x01"]
 
 
 def test_cli_cfg(tmp_path, capsys):
@@ -572,3 +644,12 @@ def test_compile_outputs_of_same_stem_stay_apart(tmp_path):
                            tmp_path / "compiled")
     assert [Path(o).name for o in outs] == ["x.bin", "x.bin"]
     assert [Path(o).read_bytes() for o in outs] == [b"\x60\x01", b"\x60\x02"]
+
+
+def test_compile_cmd_with_non_hex_output_is_an_error(tmp_path):
+    source = tmp_path / "a.sol"
+    source.write_text("not bytecode")
+    echo = "import sys; print(open(sys.argv[1]).read())"
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(echo)} {{input}}"
+    with pytest.raises(DeltascanError, match="not hex bytecode"):
+        _compile_inputs([str(source)], cmd, tmp_path / "compiled")
