@@ -10,6 +10,12 @@ functions' instruction graphs. A path encodes to the same bits in any
 batch and graph attention is node-local, so every block vector is the same,
 bit for bit, as when its function is embedded alone (``embed_function``).
 
+Given a ``memo.PathMemo``, a pass encodes only the paths the memo does not
+hold yet and adds them to it; the others are served from it, with the bits
+a new encoding would give. The pipeline passes the memo of its encoder
+params, so a scan of many clones encodes each distinct path once.
+``embed_function`` passes none and encodes every path of its function.
+
 Ablation switches mirror the detection variants: with the sequence stage
 off, raw word embeddings are projected and fused directly; with the graph
 stage off, fused block features are pooled as-is. Pooled vectors whose
@@ -30,6 +36,7 @@ from .config import EmbeddingConfig
 from .fusion import fuse_block
 from .graph import (build_instruction_graph, encode_graph, pool_block,
                     union_graphs)
+from .memo import PathMemo
 from .params import EncoderParams
 from .sequence import embed_path, encode_sequences
 from .vocab import Vocabulary
@@ -104,13 +111,16 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
                    config: EmbeddingConfig | None = None,
                    use_sequence: bool = True,
                    use_graph: bool = True,
-                   stats: dict | None = None) -> list:
+                   stats: dict | None = None,
+                   memo: PathMemo | None = None) -> list:
     """Embed the functions of one contract in one pass.
 
     ``items`` is a list of ``(FunctionCfg, paths)``; the result holds one
-    FunctionEmbedding per item, in order. When ``stats`` is given, it
-    receives ``paths_encoded`` (distinct path token sequences encoded) and
-    the milliseconds of the pass's stages, named in STAGES.
+    FunctionEmbedding per item, in order. With a ``memo`` (bound to
+    ``vocab`` and ``config``), paths it holds are not encoded again. When
+    ``stats`` is given, it receives ``paths_encoded`` (distinct path token
+    sequences sent to the encoder), ``paths_reused`` (those served from the
+    memo) and the milliseconds of the pass's stages, named in STAGES.
     """
     config = config or params.config
     for cfg, _ in items:
@@ -118,7 +128,8 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
             raise EmptyFunction(f"function {cfg.function_id} has no blocks")
     marks = [time.perf_counter()]
 
-    # sequence: every distinct path of the contract, encoded in one call
+    # sequence: every distinct path of the contract that the memo does not
+    # hold, encoded in one call
     keys = [None] * len(items)  # per function, its paths' token tuples
     if use_sequence:
         keys = [[tuple(t for bid in path.blocks
@@ -126,11 +137,17 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
                  for path in paths] for cfg, paths in items]
     encoded = dict.fromkeys(k for function in keys if function
                             for k in function)  # token tuple -> (rows, cut)
-    if encoded:
-        batch = [embed_path(list(k), vocab, config) for k in encoded]
+    misses = list(encoded)
+    if memo is not None:
+        for key in misses:
+            encoded[key] = memo.hit(key)
+        misses = [key for key in misses if encoded[key] is None]
+    if misses:
+        batch = [embed_path(list(k), vocab, config) for k in misses]
         out = encode_sequences(batch, params, config)
-        for key, pe, rows in zip(list(encoded), batch, out):
-            encoded[key] = (rows, pe.truncated)
+        for key, pe, rows in zip(misses, batch, out):
+            encoded[key] = (rows, pe.truncated) if memo is None \
+                else memo.add(key, rows, pe.truncated)
     marks.append(time.perf_counter())
 
     # fusion: each function's blocks from that function's own paths
@@ -173,7 +190,8 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     marks.append(time.perf_counter())
 
     if stats is not None:
-        stats["paths_encoded"] = len(encoded)
+        stats["paths_encoded"] = len(misses)
+        stats["paths_reused"] = len(encoded) - len(misses)
         for name, begin, end in zip(STAGES, marks, marks[1:]):
             stats[name] = (end - begin) * 1e3
     return embeddings

@@ -42,6 +42,10 @@ def fuse_block(occurrences, avg_block_len: float,
     shapes = {tuple(h.shape) for h, _ in occurrences}
     if len(shapes) != 1:
         raise ShapeMismatch(f"occurrence slices disagree in shape: {shapes}")
+    if len(occurrences) == 1 and avg_block_len > 0:
+        # the weight is exactly 1.0; adding 0.0 turns -0.0 into 0.0 as the
+        # sum below, which starts from 0.0, does
+        return np.add(occurrences[0][0], np.float32(0.0), dtype=np.float32)
     weights = fusion_weights([s for _, s in occurrences], avg_block_len, config)
     fused = np.zeros(occurrences[0][0].shape, dtype=np.float64)
     for (h, _), w in zip(occurrences, weights):

@@ -84,20 +84,21 @@ def union_graphs(graphs) -> InstructionGraph:
 
 
 def _elu(x):
-    return np.where(x > 0, x, np.expm1(np.minimum(x, np.float32(0.0)))).astype(np.float32)
+    return np.where(x > 0, x, np.expm1(np.minimum(x, np.float32(0.0)))).astype(
+        np.float32, copy=False)
 
 
 def _leaky_relu(x):
-    return np.where(x > 0, x, _LEAKY_SLOPE * x).astype(np.float32)
+    return np.where(x > 0, x, _LEAKY_SLOPE * x).astype(np.float32, copy=False)
 
 
-def _gat_layer(x, src, dst, starts, layer, average_heads):
-    """One attention layer, all heads at once. The edges are sorted by
-    ``dst`` and ``starts[i]`` is where node ``i``'s in-edges begin; every
-    node has a self-loop, so no segment is empty."""
-    heads, d_in, head_dim = layer["w"].shape
+def _gat_layer(x, src, dst, starts, layer, w, average_heads):
+    """One attention layer, all heads at once; ``w`` is the layer's heads'
+    weights side by side. The edges are sorted by ``dst`` and ``starts[i]``
+    is where node ``i``'s in-edges begin; every node has a self-loop, so no
+    segment is empty."""
+    heads, _, head_dim = layer["w"].shape
     n = x.shape[0]
-    w = layer["w"].transpose(1, 0, 2).reshape(d_in, heads * head_dim)
     proj = (x @ w).reshape(n, heads, head_dim)
     score_src = np.einsum("nhd,hd->nh", proj, layer["a_src"])
     score_dst = np.einsum("nhd,hd->nh", proj, layer["a_dst"])
@@ -141,8 +142,10 @@ def encode_graph(graph: InstructionGraph, params: EncoderParams,
     src, dst = src[order], dst[order]
     starts = np.searchsorted(dst, loops)
     last = len(params.gat_layers) - 1
-    for idx, layer in enumerate(params.gat_layers):
-        x = _gat_layer(x, src, dst, starts, layer, average_heads=(idx == last))
+    for idx, (layer, w) in enumerate(zip(params.gat_layers,
+                                         params.gat_weights)):
+        x = _gat_layer(x, src, dst, starts, layer, w,
+                       average_heads=(idx == last))
     return x
 
 

@@ -7,15 +7,19 @@ softmax, so a sequence layer holds only its projection, feed-forward and
 layer-norm arrays. Parameters for the ablation variants (pooling over 96-
 or 64-dim inputs, projections up to the block dimension) are drawn
 unconditionally so every variant shares one params object.
+
+Each params object also carries the memo of the sequence encodings made
+with it (``memo``, see ``memo.PathMemo``): it lives and dies with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import EmbeddingConfig
+from .memo import PathMemo
 
 
 def _uniform(rng, shape, fan_in):
@@ -31,8 +35,11 @@ class EncoderParams:
     word_to_seq: np.ndarray     # fallback / no-sequence projection
     seq_layers: tuple           # per-layer dict of arrays
     gat_layers: tuple           # per-layer dict of arrays
+    gat_weights: tuple          # per GAT layer, (d_in, heads*head_dim)
     pool: dict                  # input dim -> (W, a)
     block_proj: dict            # input dim -> projection to block_dim
+    memo: PathMemo = field(default_factory=PathMemo, compare=False,
+                           repr=False)
 
 
 def init_params(config: EmbeddingConfig | None = None,
@@ -65,13 +72,19 @@ def init_params(config: EmbeddingConfig | None = None,
         }
         seq_layers.append(layer)
 
-    gat_layers = []
+    gat_layers, gat_weights = [], []
     in_dim = d_s
     for layer_idx, heads in enumerate(config.gat_heads):
         head_out = d_g // heads
+        # the heads' weights side by side in one matrix; "w" views it
+        # (heads, in_dim, head_out), with the bytes of the stacked draws
+        w = np.empty((in_dim, heads * head_out), dtype=np.float32)
+        for h in range(heads):
+            w[:, h * head_out:(h + 1) * head_out] = _uniform(
+                rng, (in_dim, head_out), in_dim)
+        gat_weights.append(w)
         gat_layers.append({
-            "w": np.stack([_uniform(rng, (in_dim, head_out), in_dim)
-                           for _ in range(heads)]),
+            "w": w.reshape(in_dim, heads, head_out).transpose(1, 0, 2),
             "a_src": _uniform(rng, (heads, head_out), head_out),
             "a_dst": _uniform(rng, (heads, head_out), head_out),
         })
@@ -86,4 +99,5 @@ def init_params(config: EmbeddingConfig | None = None,
         block_proj[dim] = _uniform(rng, (dim, config.block_dim), dim)
 
     return EncoderParams(config, input_proj, input_bias, word_to_seq,
-                         tuple(seq_layers), tuple(gat_layers), pool, block_proj)
+                         tuple(seq_layers), tuple(gat_layers),
+                         tuple(gat_weights), pool, block_proj)

@@ -9,6 +9,7 @@ so re-serialization is always byte-exact.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,7 @@ __all__ = [
     "disassemble",
     "reserialize",
     "assemble",
+    "decode_hex",
     "parse_hex_input",
 ]
 
@@ -288,13 +290,25 @@ def assemble(source) -> bytes:
     return bytes(out)
 
 
-def parse_hex_input(text: str) -> bytes:
-    """Parse a hex string with optional 0x prefix into bytes; raises
-    DeltascanError with the reason when it is not an even-length hex string."""
+_HEX = re.compile(r"[0-9a-fA-F]+")
+
+
+def decode_hex(text: str) -> bytes | None:
+    """The bytes that hex text spells: surrounding whitespace and one 0x
+    prefix dropped, and an odd-length body read with a leading 0. None when
+    what is left is empty or holds anything but hex digits."""
     text = text.strip()
-    if text.startswith(("0x", "0X")):
-        text = text[2:]
-    try:
-        return bytes.fromhex(text)
-    except ValueError as exc:
-        raise DeltascanError(f"input is not hex bytecode: {exc}") from None
+    body = text[2:] if text.startswith(("0x", "0X")) else text
+    if not _HEX.fullmatch(body):
+        return None
+    return bytes.fromhex(body if len(body) % 2 == 0 else "0" + body)
+
+
+def parse_hex_input(text: str) -> bytes:
+    """Parse hex text as ``decode_hex`` does; raises DeltascanError when it
+    is not hex. Unlike a bytecode file, text has no raw-bytes fallback."""
+    code = decode_hex(text)
+    if code is None:
+        raise DeltascanError("input is not hex bytecode: expected hex digits "
+                             "after an optional 0x prefix")
+    return code

@@ -116,11 +116,13 @@ class AnnIndex:
 
 
 def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
-                   threshold: float = 0.1) -> list:
+                   threshold: float = 0.1, nearest: dict | None = None) -> list:
     """Decision rule: a stored defective function matches when its
     selector equals the query's and every query block vector has a stored
     block vector within ``threshold`` (greedy nearest, with replacement).
-    Every stored function under the query's selector is compared."""
+    Every stored function under the query's selector is compared. When
+    ``nearest`` is given, it keeps under the query's selector the smallest
+    max block distance of any stored function compared, matched or not."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if not query_fn.block_vectors or query_fn.selector is None:
@@ -133,7 +135,11 @@ def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
         for vec in query_fn.block_vectors:
             diff = stored - vec
             distances.append(float(np.sqrt((diff * diff).sum(axis=1).min())))
-        if max(distances) <= threshold:
+        farthest = max(distances)
+        if nearest is not None:
+            nearest[query_fn.selector] = min(
+                nearest.get(query_fn.selector, farthest), farthest)
+        if farthest <= threshold:
             findings.append(Finding(
                 query_function_id=query_fn.function_id,
                 matched_contract=key[0],

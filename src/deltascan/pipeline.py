@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .encoder import (EmbeddingConfig, Vocabulary, embed_contract,
 from .encoder.embed import STAGES
 from .encoder.params import init_params
 from .errors import EmptyCorpus
+from .evm import decode_hex
 from .index import AnnIndex, EntryLabel, IndexEntry, decide_similar, load_index, save_index
 
 logger = logging.getLogger(__name__)
@@ -77,6 +77,7 @@ class ScanResult:
     findings: list = field(default_factory=list)
     timings_ms: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
+    nearest: dict = field(default_factory=dict)  # "0x"+selector -> distance
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -97,24 +98,20 @@ class ScanResult:
             ],
             "timings_ms": self.timings_ms,
             "counters": self.counters,
+            "nearest": self.nearest,
             **({"error": self.error} if self.error else {}),
         }
 
 
-_HEX = re.compile(r"[0-9a-fA-F]+")
-
-
 def read_bytecode_file(path) -> bytes:
-    """Read a bytecode file: hex text (optional 0x prefix) or raw binary."""
+    """Read a bytecode file: hex text as ``evm.decode_hex`` reads it, or
+    else its raw bytes."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("ascii").strip()
+        code = decode_hex(raw.decode("ascii"))
     except UnicodeDecodeError:
         return raw
-    body = text[2:] if text.startswith(("0x", "0X")) else text
-    if _HEX.fullmatch(body):
-        return bytes.fromhex(body if len(body) % 2 == 0 else "0" + body)
-    return raw
+    return raw if code is None else code
 
 
 @dataclass
@@ -204,6 +201,7 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
     except EmptyCorpus:
         vocab = Vocabulary({}, config.embedding.word_dim, b"\x00" * 32)
     params = init_params(config.embedding)
+    memo = params.memo.bind(vocab, config.embedding)
 
     index = AnnIndex(config.embedding.block_dim)
 
@@ -240,7 +238,8 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
         embedded = embed_contract(
             [(a.analysis.functions[i], a.paths[i]) for i in functions],
             vocab, params, config.embedding,
-            use_sequence=config.use_sequence, use_graph=config.use_graph)
+            use_sequence=config.use_sequence, use_graph=config.use_graph,
+            memo=memo)
         embed_ms += (time.perf_counter() - t0) * 1e3
         by_function = dict(zip(functions, embedded))
         for _, i, ref, defect in group:
@@ -288,7 +287,9 @@ def _can_match(fn, index: AnnIndex) -> bool:
 def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                 vocab, params) -> ScanResult:
     """Embed, in one pass, the functions of one analyzed contract that pass
-    the selector gate, and decide each against the index."""
+    the selector gate, and decide each against the index. Paths encoded by
+    earlier calls with the same ``params`` and ``vocab`` are served from
+    the params' memo."""
     result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
     functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
@@ -298,18 +299,22 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     embeddings = embed_contract(
         functions, vocab, params, config.embedding,
         use_sequence=config.use_sequence, use_graph=config.use_graph,
-        stats=stats)
+        stats=stats, memo=params.memo.bind(vocab, config.embedding))
     result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
     result.timings_ms.update((name, stats[name]) for name in STAGES)
     t0 = time.perf_counter()
+    nearest = {}
     for emb in embeddings:
         result.findings.extend(decide_similar(
-            emb, index, threshold=config.threshold))
+            emb, index, threshold=config.threshold, nearest=nearest))
     result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
+    result.nearest = {"0x" + selector.hex(): distance
+                      for selector, distance in nearest.items()}
     with_blocks = sum(bool(fn.blocks) for fn in a.analysis.functions)
     result.counters = {"paths_truncated": sum(
                            e.paths_truncated for e in embeddings),
                        "paths_encoded": stats["paths_encoded"],
+                       "paths_reused": stats["paths_reused"],
                        "paths_capped": a.hit_cap,
                        "fallback_blocks": sum(
                            e.fallback_blocks for e in embeddings),

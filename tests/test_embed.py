@@ -4,6 +4,7 @@ import pytest
 from deltascan.cfg import analyze_contract, extract_paths
 from deltascan.encoder import (embed, embed_contract, embed_function,
                                train_vocabulary)
+from deltascan.encoder import memo as memo_module
 from deltascan.encoder.params import init_params
 from deltascan.encoder.vocab import Vocabulary
 from deltascan.errors import EmptyFunction
@@ -287,5 +288,137 @@ def test_contract_pass_encodes_each_distinct_path_once(small_vocab, params,
     assert batches == [stats["paths_encoded"]] == [len(set(paths))]
     assert len(set(paths)) < len(paths)  # the twin setter adds no path
     assert nodes == [sum(b.instr_count for fn, _ in items for b in fn.blocks)]
-    assert set(stats) == {"paths_encoded", *embed.STAGES}
+    assert set(stats) == {"paths_encoded", "paths_reused", *embed.STAGES}
+    assert stats["paths_reused"] == 0  # no memo given
     assert all(stats[name] >= 0 for name in embed.STAGES)
+
+
+def _memo_items(config, slot):
+    """Functions whose paths include a one-token path (a contract without
+    a dispatcher) and a path cut at m_max; ``slot`` changes immediates
+    only, so every slot gives the same token paths."""
+    items = _items(build_contract([
+        ("approve(address,uint256)", setter_body(slot)),
+        ("mint(address,uint256)", vulnerable_mint_body(slot))]))
+    items += _items(bytes.fromhex("00"))
+    items += _items(build_contract([
+        ("approve(address,uint256)", _straight_line_body(config.m_max))]))
+    return items
+
+
+def _bits(embeddings) -> list:
+    return [(e.function_id, e.paths_truncated, e.fallback_blocks,
+             [v.tobytes() for v in e.block_vectors]) for e in embeddings]
+
+
+def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
+                                                   monkeypatch):
+    """A clone's paths, a one-token path and a path cut at m_max, served
+    from the memo a pass over another contract filled, give the bits that
+    embed_function gives each function alone; the second pass encodes
+    nothing."""
+    params = init_params(config)
+    memo = params.memo.bind(small_vocab, config)
+    first = _memo_items(config, 1)
+    stats = {}
+    embed_contract(first, small_vocab, params, config, stats=stats, memo=memo)
+    assert stats["paths_reused"] == 0
+    encoded = stats["paths_encoded"]
+    assert len(memo) == encoded and memo.rows == sum(
+        len(rows) for rows, _ in memo.values())
+    assert any(cut for _, cut in memo.values())
+    assert min(len(rows) for rows, _ in memo.values()) == 1
+
+    clones = _memo_items(config, 7)
+    assert [fn.function_id for fn, _ in clones] != \
+        [fn.function_id for fn, _ in first]
+    alone = {use_graph: [embed_function(fn, paths, small_vocab,
+                                        init_params(config), config,
+                                        use_graph=use_graph)
+                         for fn, paths in clones]
+             for use_graph in (True, False)}
+    calls = []
+    monkeypatch.setattr(embed, "encode_sequences",
+                        lambda *args: calls.append(args))
+    for use_graph in (True, False):
+        stats = {}
+        served = embed_contract(clones, small_vocab, params, config,
+                                use_graph=use_graph, stats=stats, memo=memo)
+        assert calls == [] and stats["paths_encoded"] == 0
+        assert stats["paths_reused"] == encoded
+        assert _bits(served) == _bits(alone[use_graph])
+        assert any(e.paths_truncated for e in served)
+
+
+def test_memo_rows_are_read_only(small_vocab, config):
+    params = init_params(config)
+    memo = params.memo.bind(small_vocab, config)
+    embed_contract(_memo_items(config, 1), small_vocab, params, config,
+                   memo=memo)
+    for rows, _ in memo.values():
+        assert not rows.flags.writeable and rows.base is None
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+
+def test_memo_resets_on_another_vocabulary_or_config(small_vocab, config):
+    """A memo filled under one vocabulary object and config is emptied,
+    not served, when bound to another vocabulary object (even an equal
+    one) or another config."""
+    from dataclasses import replace
+    params = init_params(config)
+    items = _memo_items(config, 1)
+    memo = params.memo.bind(small_vocab, config)
+    embed_contract(items, small_vocab, params, config, memo=memo)
+    assert params.memo.bind(small_vocab, config) is memo and len(memo) > 0
+
+    twin = Vocabulary(small_vocab.vectors, small_vocab.word_dim,
+                      small_vocab.training_corpus_hash)
+    for vocab, cfg in [(twin, config), (small_vocab, replace(config, m_max=8))]:
+        filled = params.memo.bind(small_vocab, config)
+        embed_contract(items, small_vocab, params, config, memo=filled)
+        assert len(filled) > 0
+        memo = params.memo.bind(vocab, cfg)
+        assert len(memo) == 0 and memo.rows == 0
+        stats = {}
+        embed_contract(items, vocab, params, cfg, stats=stats, memo=memo)
+        assert stats["paths_reused"] == 0
+
+
+def test_memo_evicts_least_recently_used_past_its_budget(small_vocab, config,
+                                                         monkeypatch):
+    """The memo never holds more rows than its budget: the entries used
+    least recently go first, and the bits stay those of embed_function."""
+    monkeypatch.setattr(memo_module, "MEMO_ROWS", 64)
+    params = init_params(config)
+    memo = params.memo.bind(small_vocab, config)
+    items = _memo_items(config, 1)
+    truncated = 0
+    for fn, paths in items + items:
+        served = embed_contract([(fn, paths)], small_vocab, params, config,
+                                memo=memo)
+        assert memo.rows == sum(len(r) for r, _ in memo.values()) <= 64
+        assert _bits(served) == _bits([embed_function(
+            fn, paths, small_vocab, init_params(config), config)])
+        truncated += served[0].paths_truncated
+    assert truncated == 2  # the m_max-long path, past the budget, both times
+
+    # least recently used first: a hit moves an entry to the back
+    memo.clear()
+    a, b, c = (np.ones((24, config.seq_dim), np.float32) * i for i in range(3))
+    memo.add(("A",), a, False)
+    memo.add(("B",), b, False)
+    assert memo.hit(("A",))[0].tobytes() == a.tobytes()
+    memo.add(("C",), c, False)
+    assert list(memo) == [("A",), ("C",)] and memo.rows == 48
+    # an entry past the whole budget is returned, not kept
+    rows, cut = memo.add(("D",), np.ones((65, config.seq_dim), np.float32),
+                         True)
+    assert len(rows) == 65 and cut and len(memo) == 0 and memo.rows == 0
+
+
+def test_embed_function_never_touches_the_params_memo(small_vocab, config):
+    params = init_params(config)
+    for fn, paths in _memo_items(config, 1):
+        embed_function(fn, paths, small_vocab, params, config)
+    assert len(params.memo) == 0 and params.memo.owner is None

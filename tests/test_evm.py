@@ -198,12 +198,13 @@ def test_code_hash_of_a_24kb_body():
     ("0x6001", b"\x60\x01"),
     ("6001", b"\x60\x01"),
     ("  0x00 \n", b"\x00"),
+    ("0x123", b"\x01\x23"),  # odd length: a leading 0, as in a file
 ])
 def test_parse_hex_input(text, expected):
     assert parse_hex_input(text) == expected
 
 
-@pytest.mark.parametrize("text", ["zz", "0x123", "60 0g", "0x0x60"])
+@pytest.mark.parametrize("text", ["zz", "60 0g", "0x0x60", "60 01", "0x", ""])
 def test_parse_hex_input_rejects_non_hex(text):
     with pytest.raises(DeltascanError, match="not hex bytecode"):
         parse_hex_input(text)

@@ -65,6 +65,18 @@ def test_fuse_single_occurrence_identity():
     np.testing.assert_allclose(fused, h, atol=1e-7)
 
 
+def test_fuse_single_occurrence_bits():
+    """One occurrence gives the bits of the weighted float64 sum from 0.0
+    that several get: its values, with -0.0 read as 0.0, in float32."""
+    h = np.array([[-0.0, 0.0, -1.5, 3e-39], [1e30, -2.0, np.nan, np.inf]],
+                 dtype=np.float32)
+    fused = fuse_block([(h, 4)], 1.5)
+    expected = (0.0 + 1.0 * h.astype(np.float64)).astype(np.float32)
+    assert fused.dtype == np.float32 and fused is not h
+    assert fused.tobytes() == expected.tobytes()
+    assert not np.signbit(fused[0, 0])
+
+
 def test_fuse_identical_slices_convexity():
     h = np.full((2, 5), 3.25, dtype=np.float32)
     fused = fuse_block([(h, 0), (h, 31)], 4.0)

@@ -277,3 +277,25 @@ def test_decide_similar_finds_match_among_other_selector_crowd():
     assert [f.matched_contract for f in findings] == ["target"]
     assert findings[0].block_distances == (0.0,)
 
+
+
+def test_decide_similar_keeps_the_nearest_distance_per_selector():
+    """``nearest`` gets the smallest max block distance over the stored
+    functions under the query's selector, matched or not, across calls;
+    the findings are those of a call without it."""
+    index = AnnIndex(DIM)
+    for contract, x in (("far", 3.0), ("near", 0.5), ("farther", 4.0)):
+        index.insert(_entry([x], contract=contract))
+    nearest = {}
+    query = _query_fn([[0.0]])
+    assert decide_similar(query, index, nearest=nearest) == []
+    assert nearest == {query.selector: 0.5}
+    matched = decide_similar(_query_fn([[3.0]]), index, threshold=0.1,
+                             nearest=nearest)
+    assert [f.matched_contract for f in matched] == ["far"]
+    assert matched == decide_similar(_query_fn([[3.0]]), index, threshold=0.1)
+    assert nearest == {query.selector: 0.0}
+    other = {}
+    decide_similar(_query_fn([[0.0]], selector=b"\x01\x02\x03\x04"), index,
+                   nearest=other)
+    assert other == {}  # no stored function under that selector

@@ -70,6 +70,15 @@ def test_shapes(config, params):
     assert set(params.block_proj) == {config.word_dim, config.seq_dim}
 
 
+def test_gat_weights_are_each_layers_heads_side_by_side(params):
+    for layer, w in zip(params.gat_layers, params.gat_weights, strict=True):
+        heads, d_in, head_dim = layer["w"].shape
+        assert w.shape == (d_in, heads * head_dim) and w.flags.c_contiguous
+        for h in range(heads):
+            assert w[:, h * head_dim:(h + 1) * head_dim].tobytes() == \
+                layer["w"][h].tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EmbeddingConfig(seq_dim=97)  # not divisible by 8 heads

@@ -13,7 +13,7 @@ import deltascan.pipeline as pipeline
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
 from deltascan.detectors import signature_selector
-from deltascan.encoder import embed_contract, embed_function
+from deltascan.encoder import embed, embed_contract, embed_function
 from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError
@@ -239,6 +239,94 @@ def test_detect_counts_distinct_paths_encoded(mixed_index, tmp_path):
              for p in enumerate_paths(fn, config.max_paths).paths]
     assert res.counters["functions_embedded"] == 2
     assert res.counters["paths_encoded"] == len(set(paths)) < len(paths)
+
+
+def test_second_detect_serves_every_path_from_the_memo(mixed_index, tmp_path,
+                                                       monkeypatch):
+    """cmd_detect calls that share params and vocabulary encode a path
+    once: a second call over the same contracts makes no encoder call and
+    reuses every path the first one encoded, with the same findings."""
+    config, _ = mixed_index
+    target = tmp_path / "twins.bin"
+    target.write_bytes(build_contract([(MINT, vulnerable_mint_body(4)),
+                                       (APPROVE, setter_body(2))]))
+    index = pipeline.load_index(config.index_path)
+    vocab = pipeline.load_vocabulary(config.vocab_path)
+    params = pipeline.init_params(config.embedding)  # an empty memo
+    (first,) = cmd_detect(config, [str(target)], index=index, vocab=vocab,
+                          params=params)
+    assert first.counters["paths_encoded"] > 0
+    assert first.counters["paths_reused"] == 0
+    calls = []
+    monkeypatch.setattr(embed, "encode_sequences",
+                        lambda *args: calls.append(args))
+    (second,) = cmd_detect(config, [str(target)], index=index, vocab=vocab,
+                           params=params)
+    assert calls == []
+    assert second.counters["paths_encoded"] == 0
+    assert second.counters["paths_reused"] == first.counters["paths_encoded"]
+    assert _finding_bits(second.findings) == _finding_bits(first.findings)
+    assert second.nearest == first.nearest
+
+
+def test_embed_encodes_each_distinct_path_once_across_contracts(
+        tmp_path, monkeypatch):
+    """cmd_embed shares one memo across its contracts: clones that differ
+    in immediates only send their paths to the encoder once."""
+    root = tmp_path / "clones"
+    root.mkdir()
+    for slot in (1, 2, 3):
+        (root / f"Clone{slot}.bin").write_bytes(
+            build_contract([(MINT, vulnerable_mint_body(slot))]))
+    encoded = []
+    encode_sequences = embed.encode_sequences
+
+    def count(batch, *args):
+        encoded.extend(batch)
+        return encode_sequences(batch, *args)
+    monkeypatch.setattr(embed, "encode_sequences", count)
+    config = PipelineConfig(index_path=str(tmp_path / "clones.idx"))
+    summary = cmd_embed(config, sorted(map(str, root.glob("*.bin"))))
+    assert summary["functions_stored"] == 3
+    fn = analyze_contract((root / "Clone1.bin").read_bytes()).functions[0]
+    paths = enumerate_paths(fn, config.max_paths).paths
+    assert 0 < len(encoded) == len({tuple(ins.opcode.mnemonic
+                                          for bid in p.blocks
+                                          for ins in fn.blocks[bid].instructions)
+                                    for p in paths})
+
+
+def test_nearest_same_selector_distance_on_every_embedded_function(
+        mixed_index, corpus_dir, tmp_path):
+    """``nearest`` holds, per embedded selector, the smallest max block
+    distance to a stored function: 0.0 for a self-match, and above the
+    threshold for a gated-in function that matches nothing. The findings
+    are those of a run that does not ask for it."""
+    config, _ = mixed_index
+    original = sorted(corpus_dir.glob("*.bin"))[0]
+    miss = tmp_path / "miss.bin"
+    miss.write_bytes(build_contract([(APPROVE, loop_body(5))]))
+    clone, far = cmd_detect(config, [str(original), str(miss)])
+    mint, approve = ("0x" + signature_selector(s).hex() for s in (MINT, APPROVE))
+    assert clone.nearest[mint] == 0.0
+    assert min(f.max_block_distance for f in clone.findings) == 0.0
+    assert far.findings == []
+    assert set(far.nearest) == {approve}
+    assert far.nearest[approve] > config.threshold
+    assert far.to_json_dict()["nearest"] == far.nearest
+    index = pipeline.load_index(config.index_path)
+    emb = embed_function(*_only_function(miss.read_bytes(), APPROVE, config),
+                         pipeline.load_vocabulary(config.vocab_path),
+                         pipeline.init_params(config.embedding),
+                         config.embedding)
+    unbounded = decide_similar(emb, index, float("inf"))
+    assert far.nearest[approve] == unbounded[0].max_block_distance
+
+
+def _only_function(code, signature, config) -> tuple:
+    fn = next(f for f in analyze_contract(code).functions
+              if f.selector == signature_selector(signature))
+    return fn, list(enumerate_paths(fn, config.max_paths).paths)
 
 
 def _mixed_contract() -> bytes:
@@ -496,7 +584,7 @@ def test_cli_disasm(tmp_path, capsys):
     assert out == ["0 PUSH1 0x01", "2 PUSH1 0x02", "4 ADD"]
 
 
-@pytest.mark.parametrize("stdin", ["zz\n", "0x123\n"])
+@pytest.mark.parametrize("stdin", ["zz\n", "60 01\n"])
 def test_cli_bad_hex_on_stdin_is_one_error_line(stdin, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(["disasm", "-"]) == 1
@@ -509,6 +597,18 @@ def test_cli_hex_on_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("0x6001\n"))
     assert main(["disasm", "-"]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 PUSH1 0x01"]
+
+
+@pytest.mark.parametrize("text", ["0x123\n", "0X6001", " 600 \n"])
+def test_cli_hex_on_stdin_reads_as_from_a_file(text, tmp_path, monkeypatch,
+                                               capsys):
+    f = tmp_path / "c.hex"
+    f.write_text(text)
+    assert main(["disasm", str(f)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["disasm", "-"]) == 0
+    assert capsys.readouterr().out == from_file != ""
 
 
 def test_cli_cfg(tmp_path, capsys):
