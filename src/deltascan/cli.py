@@ -4,6 +4,10 @@ Subcommands: disasm, cfg, embed, detect, fetch, ablate. Global options can
 also come from a `key = value` config file (--config) and the explorer API
 key from the DELTASCAN_API_KEY environment variable; precedence is
 command line > config file > environment > defaults.
+
+No option selects an encoder variant or seed: the index does not record
+them, so a mismatched scan would silently find nothing. Only `ablate` runs
+the variants, each against its own in-memory index.
 """
 
 from __future__ import annotations
@@ -19,17 +23,15 @@ import sys
 from pathlib import Path
 
 from .cfg import analyze_contract
-from .encoder import EmbeddingConfig
 from .errors import DeltascanError
 from .evm import disassemble, parse_hex_input
 from .fetch import FetchClient, HttpTransport
-from .pipeline import (DEFAULT_THRESHOLDS, PipelineConfig, cmd_ablate,
-                       cmd_detect, cmd_embed, read_bytecode_file)
+from .pipeline import (ABLATION_VARIANTS, DEFAULT_THRESHOLDS, PipelineConfig,
+                       cmd_ablate, cmd_detect, cmd_embed, read_bytecode_file)
 
 API_KEY_ENV = "DELTASCAN_API_KEY"
 
-_BOOL_FIELDS = {"use_sequence", "use_graph", "allow_no_stages"}
-_NUMBER_FIELDS = {"max_paths": int, "seed": int, "threshold": float}
+_NUMBER_FIELDS = {"max_paths": int, "threshold": float}
 _STR_FIELDS = {"index_path", "cache_dir", "api_base_url", "api_key"}
 
 
@@ -44,11 +46,7 @@ def parse_config_file(path) -> dict:
             raise DeltascanError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _BOOL_FIELDS:
-            if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                raise DeltascanError(f"{path}:{lineno}: bad boolean {value!r}")
-            values[key] = value.lower() in ("true", "1", "yes")
-        elif key in _NUMBER_FIELDS:
+        if key in _NUMBER_FIELDS:
             kind = _NUMBER_FIELDS[key]
             try:
                 values[key] = kind(value)
@@ -76,18 +74,8 @@ def build_pipeline_config(args) -> PipelineConfig:
         "api_base_url": args.api_url,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
-    if args.no_seq:
-        values["use_sequence"] = False
-    if args.no_graph:
-        values["use_graph"] = False
-    if getattr(args, "force", False):
-        values["allow_no_stages"] = True
-    seed = values.pop("seed", None)
-    if args.seed is not None:
-        seed = args.seed
-    embedding = EmbeddingConfig() if seed is None else EmbeddingConfig(seed=seed)
     try:
-        return PipelineConfig(embedding=embedding, **values)
+        return PipelineConfig(**values)
     except ValueError as exc:
         raise DeltascanError(f"bad configuration: {exc}") from None
 
@@ -196,15 +184,12 @@ def _run_fetch(args) -> int:
 
 def _run_ablate(args) -> int:
     config = build_pipeline_config(args)
-    thresholds = tuple(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
-    table = cmd_ablate(config, _prepared_inputs(args, config), thresholds)
-    variants = []
-    for variant, _ in table:
-        if variant not in variants:
-            variants.append(variant)
-    print("variant" + "".join(f"\tt={t:g}" for t in thresholds))
-    for variant in variants:
-        cells = "".join(f"\t{table[(variant, t)]}" for t in thresholds)
+    if not all(t > 0 for t in args.thresholds):  # NaN too
+        raise DeltascanError("bad configuration: thresholds must be positive")
+    table = cmd_ablate(config, args.inputs, args.scan, args.thresholds)
+    print("variant" + "".join(f"\tt={t:g}" for t in args.thresholds))
+    for variant, *_ in ABLATION_VARIANTS:
+        cells = "".join(f"\t{table[(variant, t)]}" for t in args.thresholds)
         print(variant + cells)
     return 0
 
@@ -214,16 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="deltascan",
         description="Permission-defect scanner for ERC-721 runtime bytecode.")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="encoder seed (default 42)")
     parser.add_argument("--threshold", type=float,
                         help="similarity decision threshold (default 0.1)")
     parser.add_argument("--max-paths", type=int, dest="max_paths",
                         help="path enumeration cap per function (default 64)")
     parser.add_argument("--index", help="index file path")
-    parser.add_argument("--no-seq", action="store_true",
-                        help="disable the sequence encoder stage")
-    parser.add_argument("--no-graph", action="store_true",
-                        help="disable the graph encoder stage")
     parser.add_argument("--cache-dir", dest="cache_dir")
     parser.add_argument("--api-url", dest="api_url",
                         help="explorer JSON-RPC endpoint")
@@ -250,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="scan contracts against the index")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--force", action="store_true",
-                   help="allow disabling both encoder stages")
     p.add_argument("--compile-cmd", dest="compile_cmd")
     p.set_defaults(func=_run_detect)
 
@@ -260,9 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_fetch)
 
     p = sub.add_parser("ablate",
-                       help="re-detect under encoder variants and thresholds")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--thresholds", type=float, nargs="+")
+                       help="finding counts per encoder variant and "
+                            "threshold, one in-memory index per variant")
+    p.add_argument("inputs", nargs="+", metavar="EMBED_INPUT",
+                   help="bytecode files and/or .json defect reports to index")
+    p.add_argument("--scan", nargs="+", required=True, metavar="FILE",
+                   help="bytecode files to scan")
+    p.add_argument("--thresholds", type=float, nargs="+",
+                   default=DEFAULT_THRESHOLDS)
     p.set_defaults(func=_run_ablate)
 
     return parser

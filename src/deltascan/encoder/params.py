@@ -42,12 +42,9 @@ class EncoderParams:
                            repr=False)
 
 
-def init_params(config: EmbeddingConfig | None = None,
-                seed: int | None = None) -> EncoderParams:
+def init_params(config: EmbeddingConfig | None = None) -> EncoderParams:
     config = config or EmbeddingConfig()
-    if seed is None:
-        seed = config.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     d_s, d_w, d_g = config.seq_dim, config.word_dim, config.graph_dim
 
     input_proj = _uniform(rng, (d_w, d_s), d_w)

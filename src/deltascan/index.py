@@ -123,7 +123,7 @@ def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
     Every stored function under the query's selector is compared. When
     ``nearest`` is given, it keeps under the query's selector the smallest
     max block distance of any stored function compared, matched or not."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ValueError("threshold must be positive")
     if not query_fn.block_vectors or query_fn.selector is None:
         return []  # selector gate: anonymous functions cannot match labels

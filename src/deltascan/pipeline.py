@@ -6,6 +6,7 @@ the index. Detect phase: analyze new contracts, embed only the functions
 the selector gate lets through (those under a selector the index holds),
 and compare each with every stored function under its selector; no
 detectors run (that is the whole point of the cheaper second phase).
+Only ``cmd_ablate`` runs encoder variants, on in-memory indexes it builds.
 """
 
 from __future__ import annotations
@@ -52,18 +53,12 @@ class PipelineConfig:
     cache_dir: str = ".deltascan-cache"
     api_base_url: str | None = None
     api_key: str | None = None
-    use_sequence: bool = True
-    use_graph: bool = True
-    allow_no_stages: bool = False
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # NaN too
             raise ValueError("threshold must be positive")
         if self.max_paths < 1:
             raise ValueError("max_paths must be >= 1")
-        if not (self.use_sequence or self.use_graph or self.allow_no_stages):
-            raise ValueError("at least one encoder stage must be enabled "
-                             "(pass allow_no_stages for the ablation variant)")
 
     @property
     def vocab_path(self) -> str:
@@ -161,9 +156,18 @@ def _load_inputs(inputs) -> tuple:
     return bytecode, reports
 
 
-def cmd_embed(config: PipelineConfig, inputs) -> dict:
-    """Analyze contracts, gather defect labels, embed defective functions,
-    and write the index (plus its vocabulary sidecar)."""
+@dataclass
+class _EmbedPlan:
+    """What ``cmd_embed`` stores, decided before any encoder runs."""
+    analyzed: list
+    vocab: Vocabulary
+    stored: list           # (analyzed, fn index, function_ref, DefectClass)
+    summary: dict          # the counts of cmd_embed's summary known by then
+
+
+def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
+    """Analyze, detect, map reports, train the vocabulary, and list each
+    function to store once: the work of every encoder variant alike."""
     bytecode_files, report_files = _load_inputs(inputs)
     external_records = []
     report_errors = []
@@ -200,10 +204,6 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
         vocab = train_vocabulary(corpus, config.embedding)
     except EmptyCorpus:
         vocab = Vocabulary({}, config.embedding.word_dim, b"\x00" * 32)
-    params = init_params(config.embedding)
-    memo = params.memo.bind(vocab, config.embedding)
-
-    index = AnnIndex(config.embedding.block_dim)
 
     to_embed: list = []  # (analyzed, fn index, function_ref, DefectClass)
     for a, i, record in builtin:
@@ -227,9 +227,28 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
     stored = {}
     for a, i, ref, defect in to_embed:
         stored.setdefault((a.name, i, ref, defect), (a, i, ref, defect))
+    return _EmbedPlan(analyzed, vocab, list(stored.values()), {
+        "contracts_processed": len(analyzed),
+        "contracts_failed": failures,
+        "functions_stored": len(stored),
+        "builtin_findings": len(builtin),
+        "mapped_records": len(mapped),
+        "unmapped_records": [(r.contract_name, r.function_signature, reason)
+                             for r, reason in unmapped],
+        "report_schema_errors": [str(e) for e in report_errors],
+        "paths_truncated_enumerations": sum(a.hit_cap for a in analyzed),
+    })
+
+
+def _build_index(plan: _EmbedPlan, config: EmbeddingConfig, params,
+                 use_sequence: bool = True, use_graph: bool = True) -> tuple:
+    """Embed the plan's functions under one encoder variant into a new
+    index. Returns (index, milliseconds spent embedding)."""
+    memo = params.memo.bind(plan.vocab, config)
+    index = AnnIndex(config.block_dim)
     embed_ms = 0.0
     # one pass per contract over its distinct functions to store
-    for _, group in itertools.groupby(stored.values(),
+    for _, group in itertools.groupby(plan.stored,
                                       key=lambda item: id(item[0])):
         group = list(group)
         a = group[0][0]
@@ -237,9 +256,8 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
         t0 = time.perf_counter()
         embedded = embed_contract(
             [(a.analysis.functions[i], a.paths[i]) for i in functions],
-            vocab, params, config.embedding,
-            use_sequence=config.use_sequence, use_graph=config.use_graph,
-            memo=memo)
+            plan.vocab, params, config, use_sequence=use_sequence,
+            use_graph=use_graph, memo=memo)
         embed_ms += (time.perf_counter() - t0) * 1e3
         by_function = dict(zip(functions, embedded))
         for _, i, ref, defect in group:
@@ -247,33 +265,23 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
             for block_id, vec in enumerate(by_function[i].block_vectors):
                 label = EntryLabel(a.name, ref, selector, block_id, defect)
                 index.insert(IndexEntry(vec, label))
-
-    save_index(index, config.index_path)
-    save_vocabulary(vocab, config.vocab_path)
-
-    total_analysis = sum(a.timings_ms["analysis"] + a.timings_ms["paths"]
-                         for a in analyzed)
-    return {
-        "contracts_processed": len(analyzed),
-        "contracts_failed": failures,
-        "functions_stored": len(stored),
-        "vectors_stored": len(index),
-        "builtin_findings": len(builtin),
-        "mapped_records": len(mapped),
-        "unmapped_records": [(r.contract_name, r.function_signature, reason)
-                             for r, reason in unmapped],
-        "report_schema_errors": [str(e) for e in report_errors],
-        "mean_contract_ms": ((total_analysis + embed_ms) / len(analyzed))
-        if analyzed else 0.0,
-        "paths_truncated_enumerations": sum(a.hit_cap for a in analyzed),
-    }
+    return index, embed_ms
 
 
-def _load_artifacts(config: PipelineConfig) -> tuple:
-    index = load_index(config.index_path)
-    vocab = load_vocabulary(config.vocab_path)
+def cmd_embed(config: PipelineConfig, inputs) -> dict:
+    """Analyze contracts, gather defect labels, embed defective functions
+    with the full encoder, and write the index (plus its vocabulary
+    sidecar)."""
+    plan = _plan_embed(config, inputs)
     params = init_params(config.embedding)
-    return index, vocab, params
+    index, embed_ms = _build_index(plan, config.embedding, params)
+    save_index(index, config.index_path)
+    save_vocabulary(plan.vocab, config.vocab_path)
+
+    total_ms = embed_ms + sum(a.timings_ms["analysis"] + a.timings_ms["paths"]
+                              for a in plan.analyzed)
+    return {**plan.summary, "vectors_stored": len(index),
+            "mean_contract_ms": total_ms / max(len(plan.analyzed), 1)}
 
 
 def _can_match(fn, index: AnnIndex) -> bool:
@@ -285,11 +293,12 @@ def _can_match(fn, index: AnnIndex) -> bool:
 
 
 def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
-                vocab, params) -> ScanResult:
+                vocab, params, use_sequence: bool = True,
+                use_graph: bool = True) -> ScanResult:
     """Embed, in one pass, the functions of one analyzed contract that pass
-    the selector gate, and decide each against the index. Paths encoded by
-    earlier calls with the same ``params`` and ``vocab`` are served from
-    the params' memo."""
+    the selector gate, and decide each against the index, built under the
+    same encoder variant. Paths encoded by earlier calls with the same
+    ``params`` and ``vocab`` are served from the params' memo."""
     result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
     functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
@@ -298,8 +307,8 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     t0 = time.perf_counter()
     embeddings = embed_contract(
         functions, vocab, params, config.embedding,
-        use_sequence=config.use_sequence, use_graph=config.use_graph,
-        stats=stats, memo=params.memo.bind(vocab, config.embedding))
+        use_sequence=use_sequence, use_graph=use_graph, stats=stats,
+        memo=params.memo.bind(vocab, config.embedding))
     result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
     result.timings_ms.update((name, stats[name]) for name in STAGES)
     t0 = time.perf_counter()
@@ -331,7 +340,9 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
     report parsing never run here."""
     bytecode_files, _ = _load_inputs(inputs)
     if index is None:
-        index, vocab, params = _load_artifacts(config)
+        index = load_index(config.index_path)
+        vocab = load_vocabulary(config.vocab_path)
+        params = init_params(config.embedding)
 
     results = []
     for path in bytecode_files:
@@ -345,24 +356,27 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
     return results
 
 
-def cmd_ablate(config: PipelineConfig, inputs,
+def cmd_ablate(config: PipelineConfig, embed_inputs, scan_inputs,
                thresholds=DEFAULT_THRESHOLDS) -> dict:
-    """Detect under the four encoder variants across a threshold sweep;
-    returns finding counts per (variant, threshold)."""
-    bytecode_files, _ = _load_inputs(inputs)
-    index, vocab, params = _load_artifacts(config)
+    """Finding counts per (variant, threshold): each encoder variant builds
+    its own in-memory index from ``embed_inputs`` and scans ``scan_inputs``
+    with the same encoder. The analysis, the labels and the vocabulary are
+    shared by every variant; no file is read from ``config.index_path`` or
+    written. An unreadable scan input raises rather than count as 0."""
+    plan = _plan_embed(config, embed_inputs)
+    params = init_params(config.embedding)
+    scans = [_analyze_one(Path(path).stem, read_bytecode_file(path),
+                          config.max_paths)
+             for path in _load_inputs(scan_inputs)[0]]
+    scan_config = replace(config, threshold=max(thresholds))
     table = {}
-    for name, use_seq, use_graph in ABLATION_VARIANTS:
-        variant_cfg = replace(config, use_sequence=use_seq,
-                              use_graph=use_graph, allow_no_stages=True,
-                              threshold=max(thresholds))
-        results = cmd_detect(variant_cfg, bytecode_files,
-                             index=index, vocab=vocab, params=params)
+    for name, use_sequence, use_graph in ABLATION_VARIANTS:
+        index, _ = _build_index(plan, config.embedding, params,
+                                use_sequence, use_graph)
+        distances = [f.max_block_distance for a in scans
+                     for f in _detect_one(a, scan_config, index, plan.vocab,
+                                          params, use_sequence,
+                                          use_graph).findings]
         for threshold in thresholds:
-            count = sum(
-                1
-                for r in results
-                for f in r.findings
-                if f.max_block_distance <= threshold)
-            table[(name, threshold)] = count
+            table[(name, threshold)] = sum(d <= threshold for d in distances)
     return table

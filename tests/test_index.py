@@ -235,6 +235,14 @@ def test_decide_similar_block_over_threshold():
     assert findings == []
 
 
+def test_decide_similar_rejects_a_threshold_not_above_zero():
+    index = _populated_index([[1.0]])
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            decide_similar(_query_fn([[1.0]]), index, threshold=threshold)
+    assert decide_similar(_query_fn([[1.0]]), index, threshold=float("inf"))
+
+
 def test_decide_similar_selector_gate():
     index = _populated_index([[1.0]])
     same_vec_other_selector = _query_fn([[1.0]], selector=b"\x01\x02\x03\x04")

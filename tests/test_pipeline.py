@@ -4,7 +4,7 @@ import json
 import re
 import shlex
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,8 @@ from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError
 from deltascan.evm import strip_metadata
-from deltascan.pipeline import (PipelineConfig, cmd_ablate, cmd_detect,
+from deltascan.pipeline import (ABLATION_VARIANTS, DEFAULT_THRESHOLDS,
+                                PipelineConfig, cmd_ablate, cmd_detect,
                                 cmd_embed, read_bytecode_file)
 from fixtures import (MINT_SIGNATURE as MINT, build_contract, cei_mint_body,
                       getter_body, loop_body, make_corpus, setter_body,
@@ -45,21 +46,39 @@ def built_index(corpus_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def mixed_index(corpus_dir, tmp_path_factory):
-    """Index of the vulnerable corpus (mint) plus an approve setter mapped
-    from an external report: two selectors are held."""
+def mixed_inputs(corpus_dir, tmp_path_factory):
+    """The vulnerable corpus (mint) plus an approve setter mapped from an
+    external report: an index of them holds two selectors."""
     root = tmp_path_factory.mktemp("mixed")
     (root / "Token.bin").write_bytes(build_contract([
         (APPROVE, setter_body(7)), ("owner()", getter_body(1))]))
     (root / "report.json").write_text(json.dumps([
         {"contract": "Token", "function": APPROVE,
          "defect": "WeakAuthValidation"}]))
-    config = PipelineConfig(index_path=str(root / "mixed.idx"))
-    summary = cmd_embed(config, [*sorted(map(str, corpus_dir.glob("*.bin"))),
-                                 str(root / "Token.bin"),
-                                 str(root / "report.json")])
+    return [*sorted(map(str, corpus_dir.glob("*.bin"))),
+            str(root / "Token.bin"), str(root / "report.json")]
+
+
+@pytest.fixture(scope="module")
+def mixed_index(mixed_inputs, tmp_path_factory):
+    config = PipelineConfig(
+        index_path=str(tmp_path_factory.mktemp("mixed_idx") / "mixed.idx"))
+    summary = cmd_embed(config, mixed_inputs)
     assert summary["functions_stored"] == 7
     return config, summary
+
+
+def _variant_index(inputs, variant) -> tuple:
+    """(config, vocabulary, params, index) of an in-memory index that an
+    encoder variant builds from ``inputs``, as ``cmd_ablate`` builds it;
+    the config's threshold lets every same-selector function match."""
+    _, use_sequence, use_graph = variant
+    config = PipelineConfig(threshold=float("inf"))
+    plan = pipeline._plan_embed(config, inputs)
+    params = pipeline.init_params(config.embedding)
+    index, _ = pipeline._build_index(plan, config.embedding, params,
+                                     use_sequence, use_graph)
+    return config, plan.vocab, params, index
 
 
 def test_read_bytecode_file_hex_and_binary(tmp_path):
@@ -99,11 +118,16 @@ def test_read_bytecode_file_hex_rules(tmp_path, content, expected):
 
 
 def test_config_invariants():
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            PipelineConfig(threshold=threshold)
     with pytest.raises(ValueError):
-        PipelineConfig(threshold=0.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(use_sequence=False, use_graph=False)
-    PipelineConfig(use_sequence=False, use_graph=False, allow_no_stages=True)
+        PipelineConfig(max_paths=0)
+    PipelineConfig(threshold=float("inf"))
+    # no field selects an encoder variant or seed
+    assert [f.name for f in fields(PipelineConfig)] == [
+        "embedding", "max_paths", "threshold", "index_path", "cache_dir",
+        "api_base_url", "api_key"]
 
 
 def test_embed_summary(built_index):
@@ -190,22 +214,21 @@ def test_detect_self_match(built_index, corpus_dir, tmp_path):
         assert res.counters["functions_embedded"] >= 1
 
 
-@pytest.mark.parametrize("variant", pipeline.ABLATION_VARIANTS,
-                         ids=[v[0] for v in pipeline.ABLATION_VARIANTS])
-def test_detect_embeds_under_the_configured_variant(built_index, corpus_dir,
-                                                    variant):
-    """Each finding of cmd_detect under an encoder variant carries the
-    distance that embed_function under the same variant gives, function by
-    function; the threshold lets every same-selector function match."""
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS,
+                         ids=[v[0] for v in ABLATION_VARIANTS])
+def test_detect_embeds_under_the_configured_variant(corpus_dir, variant):
+    """Each finding of _detect_one under an encoder variant, against the
+    index that variant builds, carries the distance that embed_function
+    under the same variant gives, function by function, and each contract
+    finds its own mint at 0.0."""
     _, use_sequence, use_graph = variant
-    config = replace(built_index[0], use_sequence=use_sequence,
-                     use_graph=use_graph, allow_no_stages=True,
-                     threshold=float("inf"))
-    files = sorted(map(str, corpus_dir.glob("*.bin")))[:2]
-    index = pipeline.load_index(config.index_path)
-    vocab = pipeline.load_vocabulary(config.vocab_path)
-    params = pipeline.init_params(config.embedding)
-    for path, res in zip(files, cmd_detect(config, files)):
+    files = sorted(map(str, corpus_dir.glob("*.bin")))
+    config, vocab, params, index = _variant_index(files, variant)
+    for path in files[:2]:
+        a = pipeline._analyze_one(Path(path).stem, read_bytecode_file(path),
+                                  config.max_paths)
+        res = pipeline._detect_one(a, config, index, vocab, params,
+                                   use_sequence, use_graph)
         expected = []
         for fn in analyze_contract(read_bytecode_file(path)).functions:
             if fn.blocks:
@@ -219,6 +242,22 @@ def test_detect_embeds_under_the_configured_variant(built_index, corpus_dir,
                  f.max_block_distance) for f in res.findings] == \
             [(f.query_function_id, f.matched_contract, f.matched_function,
               f.max_block_distance) for f in expected]
+        assert [f.max_block_distance for f in res.findings
+                if f.matched_contract == a.name] == [0.0]
+
+
+def test_full_variant_builds_the_embedded_index(built_index, corpus_dir,
+                                                tmp_path):
+    """cmd_embed writes the full variant's in-memory index and vocabulary."""
+    config, _ = built_index
+    _, vocab, _, index = _variant_index(
+        sorted(map(str, corpus_dir.glob("*.bin"))), ABLATION_VARIANTS[0])
+    pipeline.save_index(index, tmp_path / "full.idx")
+    pipeline.save_vocabulary(vocab, tmp_path / "full.vocab")
+    assert (tmp_path / "full.idx").read_bytes() == \
+        Path(config.index_path).read_bytes()
+    assert (tmp_path / "full.vocab").read_bytes() == \
+        Path(config.vocab_path).read_bytes()
 
 
 def test_detect_counts_distinct_paths_encoded(mixed_index, tmp_path):
@@ -344,23 +383,16 @@ def _finding_bits(findings) -> list:
             for f in findings]
 
 
-@pytest.mark.parametrize("variant", pipeline.ABLATION_VARIANTS,
-                         ids=[v[0] for v in pipeline.ABLATION_VARIANTS])
-def test_selector_gate_keeps_every_finding_bit_for_bit(mixed_index, tmp_path,
-                                                       variant):
-    """Gated cmd_detect gives the findings of an ungated pass that embeds
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS,
+                         ids=[v[0] for v in ABLATION_VARIANTS])
+def test_selector_gate_keeps_every_finding_bit_for_bit(mixed_inputs, variant):
+    """Gated _detect_one under an encoder variant, against the index that
+    variant builds, gives the findings of an ungated pass that embeds
     every function with blocks and decides each one: same functions,
     same matches, the same distance bits."""
     _, use_sequence, use_graph = variant
-    config = replace(mixed_index[0], use_sequence=use_sequence,
-                     use_graph=use_graph, allow_no_stages=True,
-                     threshold=float("inf"))
+    config, vocab, params, index = _variant_index(mixed_inputs, variant)
     code = _mixed_contract()
-    target = tmp_path / "mixed.bin"
-    target.write_bytes(code)
-    index = pipeline.load_index(config.index_path)
-    vocab = pipeline.load_vocabulary(config.vocab_path)
-    params = pipeline.init_params(config.embedding)
     functions = [fn for fn in analyze_contract(code).functions if fn.blocks]
     assert None in [fn.selector for fn in functions]  # the fallback
     ungated = embed_contract(
@@ -369,9 +401,9 @@ def test_selector_gate_keeps_every_finding_bit_for_bit(mixed_index, tmp_path,
         use_sequence=use_sequence, use_graph=use_graph)
     expected = [f for emb in ungated
                 for f in decide_similar(emb, index, config.threshold)]
-    (res,) = cmd_detect(config, [str(target)], index=index, vocab=vocab,
-                        params=params)
-    assert res.error is None
+    res = pipeline._detect_one(
+        pipeline._analyze_one("mixed", code, config.max_paths), config,
+        index, vocab, params, use_sequence, use_graph)
     assert {f.query_function_id[1] for f in expected} == \
         {signature_selector(MINT), signature_selector(APPROVE)}
     assert all(f.max_block_distance > 0 for f in expected)  # no clones
@@ -547,17 +579,42 @@ def test_detect_batch_resilience(built_index, corpus_dir, tmp_path):
     assert results[1].findings == []
 
 
-def test_ablate_counts_monotone_in_threshold(built_index, corpus_dir):
-    config, _ = built_index
-    inputs = sorted(map(str, corpus_dir.glob("*.bin")))[:3]
-    table = cmd_ablate(config, inputs)
-    variants = {v for v, _ in table}
-    assert variants == {"full", "no_sequence", "no_graph", "no_both"}
-    for variant in variants:
-        counts = [table[(variant, t)] for t in (0.01, 0.1, 1.0, 2.0)]
+def _tree(root) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def test_ablate_counts_monotone_in_threshold(tmp_path):
+    """Each variant scans against the index it builds itself, so every one
+    finds all 9 self-matches of three vulnerable mints (each against each
+    stored clone, all at 0.0) at every threshold. cmd_ablate writes no
+    file and never reads config.index_path."""
+    files = []
+    for name, _, code in make_corpus(3):
+        files.append(tmp_path / f"{name}.bin")
+        files[-1].write_bytes(code)
+    setter = tmp_path / "Setter.bin"
+    setter.write_bytes(build_contract([(MINT, setter_body(3)),
+                                       ("owner()", getter_body(1))]))
+    before = _tree(tmp_path)
+    config = PipelineConfig(index_path=str(tmp_path / "absent" / "x.idx"))
+    table = cmd_ablate(config, files, files)
+    assert list(table) == [(name, t) for name, *_ in ABLATION_VARIANTS
+                           for t in DEFAULT_THRESHOLDS]
+    assert set(table.values()) == {9}
+    # a setter under the mint selector, matched by no stored mint at 0.01
+    # and by all three at 2.0, under every variant
+    swept = cmd_ablate(config, files, [*files, setter])
+    for name, *_ in ABLATION_VARIANTS:
+        counts = [swept[(name, t)] for t in DEFAULT_THRESHOLDS]
         assert counts == sorted(counts)
-    # the full pipeline finds its self-matches at the default threshold
-    assert table[("full", 0.1)] >= 3
+        assert counts[0] == 9 and counts[-1] == 12
+    assert _tree(tmp_path) == before
+
+
+def test_ablate_rejects_an_unreadable_scan_input(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        cmd_ablate(PipelineConfig(), [], [str(tmp_path / "absent.bin")])
 
 
 def test_scan_result_json_schema(built_index, corpus_dir):
@@ -650,16 +707,22 @@ def test_cli_config_file(tmp_path):
     cfg.write_text("""
         threshold = 0.25        # decision cutoff
         max_paths = 16
-        use_graph = false
         index_path = /tmp/x.idx
     """)
     values = parse_config_file(cfg)
     assert values == {"threshold": 0.25, "max_paths": 16,
-                      "use_graph": False, "index_path": "/tmp/x.idx"}
+                      "index_path": "/tmp/x.idx"}
     bad = tmp_path / "bad.conf"
     bad.write_text("unknown_key = 3")
     with pytest.raises(DeltascanError):
         parse_config_file(bad)
+    # no key selects an encoder variant or seed
+    for text in ("use_graph = false", "use_sequence = true",
+                 "allow_no_stages = yes", "seed = 1"):
+        bad.write_text(text)
+        key = text.split()[0]
+        with pytest.raises(DeltascanError, match=f"unknown key '{key}'"):
+            parse_config_file(bad)
     no_eq = tmp_path / "noeq.conf"
     no_eq.write_text("threshold 0.5")
     with pytest.raises(DeltascanError):
@@ -668,7 +731,7 @@ def test_cli_config_file(tmp_path):
     workers.write_text("workers = 2")
     with pytest.raises(DeltascanError, match="unknown key 'workers'"):
         parse_config_file(workers)
-    for text in ("max_paths = abc", "seed = 1.5", "threshold = high"):
+    for text in ("max_paths = abc", "max_paths = 1.5", "threshold = high"):
         bad_value = tmp_path / "value.conf"
         bad_value.write_text(f"# scan settings\n{text}\n")
         with pytest.raises(DeltascanError, match=re.escape(f"{bad_value}:2: bad ")):
@@ -678,7 +741,7 @@ def test_cli_config_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--threshold", "-1"],
     ["--max-paths", "0"],
-    ["--no-seq", "--no-graph"],
+    ["--threshold", "nan"],
 ])
 def test_cli_rejected_config_value_is_one_error_line(argv, tmp_path, capsys):
     code = tmp_path / "a.bin"
@@ -689,6 +752,43 @@ def test_cli_rejected_config_value_is_one_error_line(argv, tmp_path, capsys):
     assert err.startswith("error: bad configuration: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--no-seq", "detect"],
+    ["--no-graph", "detect"],
+    ["--seed", "7", "detect"],
+    ["detect", "--force"],
+])
+def test_cli_has_no_encoder_variant_or_seed_flag(argv, tmp_path, capsys):
+    code = tmp_path / "a.bin"
+    code.write_text("0x6001")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, str(code)])
+    assert exit_info.value.code == 2  # argparse's usage error
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deltascan") and "error: " in err
+
+
+def test_cli_ablate_prints_variants_in_order(tmp_path, corpus_dir, capsys):
+    inputs = sorted(str(p) for p in corpus_dir.glob("*.bin"))[:2]
+    assert main(["--index", str(tmp_path / "absent.idx"), "ablate", *inputs,
+                 "--scan", inputs[0], "--thresholds", "0.5", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "variant\tt=0.5\tt=1", *(f"{name}\t2\t2"
+                                 for name, *_ in ABLATION_VARIANTS)]
+    assert not (tmp_path / "absent.idx").exists()
+
+
+@pytest.mark.parametrize("thresholds", [["-1"], ["0.1", "nan"]])
+def test_cli_ablate_rejects_a_threshold_not_above_zero(thresholds, tmp_path,
+                                                      capsys):
+    code = tmp_path / "a.bin"
+    code.write_text("0x6001")
+    assert main(["ablate", str(code), "--scan", str(code),
+                 "--thresholds", *thresholds]) == 1
+    assert capsys.readouterr().err == \
+        "error: bad configuration: thresholds must be positive\n"
 
 
 def test_cli_bad_config_file_value_is_one_error_line(tmp_path, capsys):
