@@ -42,10 +42,6 @@ class BasicBlock:
     def instr_count(self) -> int:
         return len(self.instructions)
 
-    @property
-    def last(self) -> Instruction:
-        return self.instructions[-1]
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -89,7 +85,7 @@ class PathEnumeration:
     hit_cap: bool
 
 
-def _terminator_kind(last: Instruction, next_is_leader: bool) -> str:
+def _terminator_kind(last: Instruction) -> str:
     op = last.opcode
     if op.is_jump:
         return "jump"
@@ -126,7 +122,7 @@ def partition_blocks(program: Program) -> list:
     for block_id, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         chunk = instructions[lo:hi]
         blocks.append(BasicBlock(block_id, chunk[0].offset, tuple(chunk),
-                                 _terminator_kind(chunk[-1], True)))
+                                 _terminator_kind(chunk[-1])))
     return blocks
 
 
@@ -356,9 +352,7 @@ def analyze_contract(code: bytes) -> ContractAnalysis:
     functions. Convenience composition used by the CLI and pipeline."""
     from .evm import disassemble, strip_metadata
 
-    body, metadata = strip_metadata(code)
-    program = disassemble(body)
-    program = Program(program.instructions, metadata, program.code_body)
+    program = disassemble(strip_metadata(code)[0])
     blocks = partition_blocks(program)
     edges = resolve_edges(blocks)
     selmap, functions = recover_functions(blocks, edges, program.code_hash)

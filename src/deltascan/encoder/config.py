@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -14,8 +14,7 @@ class EmbeddingConfig:
     window: int = 5
     seq_layers: int = 6
     seq_heads: int = 8
-    gat_layers: int = 3
-    gat_heads: tuple = (8, 8, 1)
+    gat_heads: tuple = (8, 8, 1)   # one head count per GAT layer
     alpha: float = 0.6
     clip_cap: float = 5.0
     m_max: int = 512
@@ -29,8 +28,6 @@ class EmbeddingConfig:
             raise ValueError("all dimensions must be positive")
         if self.seq_dim % self.seq_heads:
             raise ValueError("seq_dim must be divisible by seq_heads")
-        if len(self.gat_heads) != self.gat_layers:
-            raise ValueError("gat_heads must list one head count per layer")
         for heads in self.gat_heads:
             if self.graph_dim % heads:
                 raise ValueError("graph_dim must be divisible by every "

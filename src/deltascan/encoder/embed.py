@@ -16,6 +16,11 @@ a new encoding would give. The pipeline passes the memo of its encoder
 params, so a scan of many clones encodes each distinct path once.
 ``embed_function`` passes none and encodes every path of its function.
 
+Every stage reads its settings from ``params.config``, the config the
+weights were drawn for, so a pass cannot mix weights with the settings of
+another encoder. ``embed_function`` takes a config too, and refuses one
+that is not equal to ``params.config``.
+
 Ablation switches mirror the detection variants: with the sequence stage
 off, raw word embeddings are projected and fused directly; with the graph
 stage off, fused block features are pooled as-is. Pooled vectors whose
@@ -67,8 +72,8 @@ def _word_rows(block, vocab: Vocabulary) -> np.ndarray:
     return np.stack([vocab.lookup(t) for t in _block_tokens(block)])
 
 
-def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab, params,
-                   config) -> tuple:
+def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab,
+                   params) -> tuple:
     """Fused (instr_count, seq_dim) features of each block of one function,
     from the block's occurrences on the function's paths: encoded rows
     when ``encoded_paths`` (one (rows, truncated) per path) is given,
@@ -98,7 +103,7 @@ def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab, params,
     fallback = 0
     for block, occ in zip(cfg.blocks, occurrences):
         if occ:
-            fused.append(fuse_block(occ, cfg.avg_block_len, config))
+            fused.append(fuse_block(occ, cfg.avg_block_len, params.config))
         else:
             fallback += 1
             rows = (word_rows[block.block_id] if word_rows is not None
@@ -108,7 +113,6 @@ def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab, params,
 
 
 def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
-                   config: EmbeddingConfig | None = None,
                    use_sequence: bool = True,
                    use_graph: bool = True,
                    stats: dict | None = None,
@@ -117,12 +121,12 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
 
     ``items`` is a list of ``(FunctionCfg, paths)``; the result holds one
     FunctionEmbedding per item, in order. With a ``memo`` (bound to
-    ``vocab`` and ``config``), paths it holds are not encoded again. When
+    ``vocab``), paths it holds are not encoded again. When
     ``stats`` is given, it receives ``paths_encoded`` (distinct path token
     sequences sent to the encoder), ``paths_reused`` (those served from the
     memo) and the milliseconds of the pass's stages, named in STAGES.
     """
-    config = config or params.config
+    config = params.config
     for cfg, _ in items:
         if not cfg.blocks:
             raise EmptyFunction(f"function {cfg.function_id} has no blocks")
@@ -144,7 +148,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
         misses = [key for key in misses if encoded[key] is None]
     if misses:
         batch = [embed_path(list(k), vocab, config) for k in misses]
-        out = encode_sequences(batch, params, config)
+        out = encode_sequences(batch, params)
         for key, pe, rows in zip(misses, batch, out):
             encoded[key] = (rows, pe.truncated) if memo is None \
                 else memo.add(key, rows, pe.truncated)
@@ -154,7 +158,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     fusions = [_fuse_function(cfg, paths,
                               None if function is None
                               else [encoded[k] for k in function],
-                              vocab, params, config)
+                              vocab, params)
                for (cfg, paths), function in zip(items, keys)]
     marks.append(time.perf_counter())
 
@@ -162,7 +166,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     if use_graph and items:
         union = union_graphs([build_instruction_graph(cfg, fused) for
                               (cfg, _), (fused, *_) in zip(items, fusions)])
-        states = encode_graph(union, params, config)
+        states = encode_graph(union, params)
         per_block = [states[first:first + count]
                      for first, count in union.block_spans]
     elif use_sequence:
@@ -198,11 +202,13 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
 
 
 def embed_function(cfg: FunctionCfg, paths, vocab: Vocabulary,
-                   params: EncoderParams,
-                   config: EmbeddingConfig | None = None,
+                   params: EncoderParams, config: EmbeddingConfig,
                    use_sequence: bool = True,
                    use_graph: bool = True) -> FunctionEmbedding:
     """Embed one function into per-block vectors: a contract pass over
-    that function alone."""
-    return embed_contract([(cfg, paths)], vocab, params, config,
-                          use_sequence, use_graph)[0]
+    that function alone. ``config`` must equal ``params.config``."""
+    if config != params.config:
+        raise ValueError("config differs from the one the encoder params "
+                         "were drawn for")
+    return embed_contract([(cfg, paths)], vocab, params, use_sequence,
+                          use_graph)[0]

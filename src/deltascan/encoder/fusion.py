@@ -16,9 +16,8 @@ __all__ = ["fusion_weights", "fuse_block"]
 
 
 def fusion_weights(start_positions, avg_block_len: float,
-                   config: EmbeddingConfig | None = None) -> np.ndarray:
+                   config: EmbeddingConfig) -> np.ndarray:
     """softmax(exp(alpha * clip((s - s_min)/avg_block_len, 0, cap)))."""
-    config = config or EmbeddingConfig()
     s = np.asarray(start_positions, dtype=np.float64)
     if s.size == 0:
         raise ShapeMismatch("no start positions")
@@ -32,7 +31,7 @@ def fusion_weights(start_positions, avg_block_len: float,
 
 
 def fuse_block(occurrences, avg_block_len: float,
-               config: EmbeddingConfig | None = None) -> np.ndarray:
+               config: EmbeddingConfig) -> np.ndarray:
     """Convex combination of a block's per-path slices.
 
     occurrences: list of (slice of shape k_j x d, start_position).

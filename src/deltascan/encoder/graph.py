@@ -17,7 +17,6 @@ import numpy as np
 
 from ..cfg import FunctionCfg
 from ..errors import DimensionMismatch
-from .config import EmbeddingConfig
 from .params import EncoderParams
 
 __all__ = ["InstructionGraph", "build_instruction_graph", "union_graphs",
@@ -92,14 +91,15 @@ def _leaky_relu(x):
     return np.where(x > 0, x, _LEAKY_SLOPE * x).astype(np.float32, copy=False)
 
 
-def _gat_layer(x, src, dst, starts, layer, w, average_heads):
-    """One attention layer, all heads at once; ``w`` is the layer's heads'
-    weights side by side. The edges are sorted by ``dst`` and ``starts[i]``
-    is where node ``i``'s in-edges begin; every node has a self-loop, so no
-    segment is empty."""
-    heads, _, head_dim = layer["w"].shape
+def _gat_layer(x, src, dst, starts, layer, average_heads):
+    """One attention layer, all heads at once: ``layer["w"]`` holds the
+    heads' (d_in, head_dim) weights side by side, and the head count is
+    that of the (heads, head_dim) ``layer["a_src"]``. The edges are sorted
+    by ``dst`` and ``starts[i]`` is where node ``i``'s in-edges begin;
+    every node has a self-loop, so no segment is empty."""
+    heads, head_dim = layer["a_src"].shape
     n = x.shape[0]
-    proj = (x @ w).reshape(n, heads, head_dim)
+    proj = (x @ layer["w"]).reshape(n, heads, head_dim)
     score_src = np.einsum("nhd,hd->nh", proj, layer["a_src"])
     score_dst = np.einsum("nhd,hd->nh", proj, layer["a_dst"])
     edge_score = _leaky_relu(score_src[src] + score_dst[dst])   # (E, H)
@@ -117,21 +117,20 @@ def _gat_layer(x, src, dst, starts, layer, w, average_heads):
     return out.reshape(n, heads * head_dim)
 
 
-def encode_graph(graph: InstructionGraph, params: EncoderParams,
-                 config: EmbeddingConfig | None = None) -> np.ndarray:
+def encode_graph(graph: InstructionGraph, params: EncoderParams) -> np.ndarray:
     """Run the attention layers over CFG+sequence edges plus self-loops.
     Returns refined node states of shape (num_nodes, graph_dim)."""
-    config = config or params.config
+    seq_dim = params.config.seq_dim
     x = graph.features.astype(np.float32)
     n = x.shape[0]
     if n == 0:
         raise DimensionMismatch("graph has no nodes")
-    if x.shape[1] != config.seq_dim:
-        raise DimensionMismatch(f"node dim {x.shape[1]} != {config.seq_dim}")
+    if x.shape[1] != seq_dim:
+        raise DimensionMismatch(f"node dim {x.shape[1]} != {seq_dim}")
     if n == 1:
         # numpy sends a one-row product to gemv, which rounds differently
         # from the gemm of larger graphs: add an isolated copy of the node
-        return encode_graph(union_graphs([graph, graph]), params, config)[:1]
+        return encode_graph(union_graphs([graph, graph]), params)[:1]
     edges = np.array(graph.edges_cfg + graph.edges_seq,
                      dtype=np.int64).reshape(-1, 2)
     loops = np.arange(n, dtype=np.int64)
@@ -142,10 +141,8 @@ def encode_graph(graph: InstructionGraph, params: EncoderParams,
     src, dst = src[order], dst[order]
     starts = np.searchsorted(dst, loops)
     last = len(params.gat_layers) - 1
-    for idx, (layer, w) in enumerate(zip(params.gat_layers,
-                                         params.gat_weights)):
-        x = _gat_layer(x, src, dst, starts, layer, w,
-                       average_heads=(idx == last))
+    for idx, layer in enumerate(params.gat_layers):
+        x = _gat_layer(x, src, dst, starts, layer, average_heads=(idx == last))
     return x
 
 

@@ -2,8 +2,9 @@
 
 A path's encoding depends on its own token rows only: it is the same, bit
 for bit, in any batch (see ``sequence``). So a path seen before under the
-same vocabulary object and config is served from here instead of being
-encoded again. Cloned functions share their token paths, because
+same vocabulary object is served from here instead of being encoded
+again. The memo lives on one params object, whose config never changes,
+so the vocabulary is all it is bound to. Cloned functions share their token paths, because
 immediates are dropped from the tokens, so a scan of many clones encodes
 each distinct path once for as long as its ``EncoderParams`` live.
 """
@@ -26,21 +27,20 @@ class PathMemo(dict):
 
     def __init__(self):
         super().__init__()
-        self.owner = None   # (vocabulary, config) the entries were made with
+        self.owner = None   # the vocabulary the entries were made with
         self.rows = 0
 
     def clear(self):
         super().clear()
         self.rows = 0
 
-    def bind(self, vocab, config) -> PathMemo:
+    def bind(self, vocab) -> PathMemo:
         """This memo, emptied first unless its entries were encoded with
-        this very vocabulary object and an equal config. The vocabulary is
-        held, so its id cannot be reused by another one."""
-        if (self.owner is None or self.owner[0] is not vocab
-                or self.owner[1] != config):
+        this very vocabulary object. The vocabulary is held, so its id
+        cannot be reused by another one."""
+        if self.owner is not vocab:
             self.clear()
-            self.owner = (vocab, config)
+            self.owner = vocab
         return self
 
     def hit(self, key):

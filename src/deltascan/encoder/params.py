@@ -1,15 +1,20 @@
-"""Frozen encoder weights.
+"""Frozen encoder weights: the one description of the encoder.
 
 No training happens anywhere: every matrix is drawn once from a seeded
 generator (uniform scaled by 1/sqrt(fan_in)) and never updated, so
 outputs are bit-reproducible for equal (seed, config). Attention is exact
-softmax, so a sequence layer holds only its projection, feed-forward and
-layer-norm arrays. Parameters for the ablation variants (pooling over 96-
-or 64-dim inputs, projections up to the block dimension) are drawn
-unconditionally so every variant shares one params object.
+softmax, so a sequence layer holds only its projection and feed-forward
+matrices. The layer-norm gains and biases and the feed-forward and input
+biases of a trained encoder would sit at their initial 1 and 0 here, where
+they change no bit, so none is stored. Parameters for the ablation
+variants (pooling over 96- or 64-dim inputs, projections up to the block
+dimension) are drawn unconditionally so every variant shares one params
+object.
 
-Each params object also carries the memo of the sequence encodings made
-with it (``memo``, see ``memo.PathMemo``): it lives and dies with them.
+Every stage reads its settings from ``config``, the one the weights were
+drawn for. Each params object also carries the memo of the sequence
+encodings made with it (``memo``, see ``memo.PathMemo``): it lives and
+dies with them.
 """
 
 from __future__ import annotations
@@ -31,11 +36,9 @@ def _uniform(rng, shape, fan_in):
 class EncoderParams:
     config: EmbeddingConfig
     input_proj: np.ndarray      # word_dim -> seq_dim
-    input_bias: np.ndarray
     word_to_seq: np.ndarray     # fallback / no-sequence projection
     seq_layers: tuple           # per-layer dict of arrays
     gat_layers: tuple           # per-layer dict of arrays
-    gat_weights: tuple          # per GAT layer, (d_in, heads*head_dim)
     pool: dict                  # input dim -> (W, a)
     block_proj: dict            # input dim -> projection to block_dim
     memo: PathMemo = field(default_factory=PathMemo, compare=False,
@@ -48,45 +51,34 @@ def init_params(config: EmbeddingConfig | None = None) -> EncoderParams:
     d_s, d_w, d_g = config.seq_dim, config.word_dim, config.graph_dim
 
     input_proj = _uniform(rng, (d_w, d_s), d_w)
-    input_bias = np.zeros(d_s, dtype=np.float32)
     word_to_seq = _uniform(rng, (d_w, d_s), d_w)
 
     seq_layers = []
     for _ in range(config.seq_layers):
-        layer = {
+        seq_layers.append({
             "wq": _uniform(rng, (d_s, d_s), d_s),
             "wk": _uniform(rng, (d_s, d_s), d_s),
             "wv": _uniform(rng, (d_s, d_s), d_s),
             "wo": _uniform(rng, (d_s, d_s), d_s),
             "w1": _uniform(rng, (d_s, config.ff_dim), d_s),
-            "b1": np.zeros(config.ff_dim, dtype=np.float32),
             "w2": _uniform(rng, (config.ff_dim, d_s), config.ff_dim),
-            "b2": np.zeros(d_s, dtype=np.float32),
-            "ln1_g": np.ones(d_s, dtype=np.float32),
-            "ln1_b": np.zeros(d_s, dtype=np.float32),
-            "ln2_g": np.ones(d_s, dtype=np.float32),
-            "ln2_b": np.zeros(d_s, dtype=np.float32),
-        }
-        seq_layers.append(layer)
+        })
 
-    gat_layers, gat_weights = [], []
+    gat_layers = []
     in_dim = d_s
-    for layer_idx, heads in enumerate(config.gat_heads):
+    for heads in config.gat_heads:
         head_out = d_g // heads
-        # the heads' weights side by side in one matrix; "w" views it
-        # (heads, in_dim, head_out), with the bytes of the stacked draws
+        # "w" holds the heads' weights side by side, each drawn in turn
         w = np.empty((in_dim, heads * head_out), dtype=np.float32)
         for h in range(heads):
             w[:, h * head_out:(h + 1) * head_out] = _uniform(
                 rng, (in_dim, head_out), in_dim)
-        gat_weights.append(w)
         gat_layers.append({
-            "w": w.reshape(in_dim, heads, head_out).transpose(1, 0, 2),
+            "w": w,
             "a_src": _uniform(rng, (heads, head_out), head_out),
             "a_dst": _uniform(rng, (heads, head_out), head_out),
         })
-        # heads concatenated except the final layer, which averages
-        in_dim = d_g if layer_idx < len(config.gat_heads) - 1 else d_g
+        in_dim = d_g  # heads concatenated, or averaged on the final layer
     pool = {}
     for dim in sorted({d_g, d_s, d_w}):
         pool[dim] = (_uniform(rng, (config.pool_hidden, dim), dim),
@@ -95,6 +87,5 @@ def init_params(config: EmbeddingConfig | None = None) -> EncoderParams:
     for dim in sorted({d_s, d_w} - {config.block_dim}):
         block_proj[dim] = _uniform(rng, (dim, config.block_dim), dim)
 
-    return EncoderParams(config, input_proj, input_bias, word_to_seq,
-                         tuple(seq_layers), tuple(gat_layers),
-                         tuple(gat_weights), pool, block_proj)
+    return EncoderParams(config, input_proj, word_to_seq, tuple(seq_layers),
+                         tuple(gat_layers), pool, block_proj)

@@ -2,7 +2,10 @@
 
 The encoder is a 6-layer multi-head attention stack with exact softmax
 attention, plus position-wise feed-forward blocks, residual connections,
-and layer normalization.
+and layer normalization. The layers are frozen at their seed, so the
+layer norms have no gain or bias and the feed-forward blocks no biases:
+those a trained encoder would learn start at 1 and 0, where they change
+nothing (see ``params``). Every setting is read from ``params.config``.
 
 A batch is encoded packed: the rows of its paths are laid end to end
 in one (T, d) array, shortest path first, with no padding, and each path is
@@ -48,9 +51,8 @@ class PathEmbedding:
 
 
 def embed_path(tokens: list, vocab: Vocabulary,
-               config: EmbeddingConfig | None = None) -> PathEmbedding:
+               config: EmbeddingConfig) -> PathEmbedding:
     """Stack the word vectors of the path's first m_max tokens."""
-    config = config or EmbeddingConfig()
     tokens, truncated = tokens[:config.m_max], len(tokens) > config.m_max
     rows = np.zeros((len(tokens), config.word_dim), dtype=np.float32)
     for row, token in enumerate(tokens):
@@ -58,10 +60,10 @@ def embed_path(tokens: list, vocab: Vocabulary,
     return PathEmbedding(rows, truncated)
 
 
-def _layer_norm(x, gain, bias):
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, with
-    the mean and variance computed as ``x.mean`` and ``x.var`` compute them
-    (float32 sums divided by the intp count), the mean only once."""
+def _layer_norm(x):
+    """(x - mean) / sqrt(var + eps) over the last axis, with the mean and
+    variance computed as ``x.mean`` and ``x.var`` compute them (float32
+    sums divided by the intp count), the mean only once."""
     count = np.intp(x.shape[-1])
     mean = np.add.reduce(x, axis=-1, keepdims=True)
     np.true_divide(mean, count, out=mean, casting="unsafe")
@@ -69,8 +71,6 @@ def _layer_norm(x, gain, bias):
     var = np.add.reduce(np.square(centred), axis=-1, keepdims=True)
     np.true_divide(var, count, out=var, casting="unsafe")
     centred /= np.sqrt(var + _LN_EPS)
-    centred *= gain
-    centred += bias
     return centred
 
 
@@ -124,13 +124,12 @@ def _attention_layer(x, groups, layer, heads):
     return out.reshape(total, d) @ layer["wo"]
 
 
-def encode_sequences(batch, params: EncoderParams,
-                     config: EmbeddingConfig | None = None) -> list:
+def encode_sequences(batch, params: EncoderParams) -> list:
     """Encode a batch of PathEmbeddings: one (valid_len, seq_dim) float32
     array per path, in batch order. A path's rows depend on that path
     alone: it encodes bit-identically in any batch.
     """
-    config = config or params.config
+    config = params.config
     if not batch:
         raise DimensionMismatch("empty batch")
     for p in batch:
@@ -152,14 +151,12 @@ def encode_sequences(batch, params: EncoderParams,
         lengths.append(1)
     groups = _segment_groups(lengths, config.m_max)
 
-    x = np.concatenate(rows).astype(np.float32, copy=False) \
-        @ params.input_proj + params.input_bias
+    x = np.concatenate(rows).astype(np.float32, copy=False) @ params.input_proj
     for layer in params.seq_layers:
         attn = _attention_layer(x, groups, layer, config.seq_heads)
-        x = _layer_norm(x + attn, layer["ln1_g"], layer["ln1_b"])
-        hidden = np.maximum(x @ layer["w1"] + layer["b1"], np.float32(0.0))
-        x = _layer_norm(x + hidden @ layer["w2"] + layer["b2"],
-                        layer["ln2_g"], layer["ln2_b"])
+        x = _layer_norm(x + attn)
+        hidden = np.maximum(x @ layer["w1"], np.float32(0.0))
+        x = _layer_norm(x + hidden @ layer["w2"])
 
     row = 0
     for i, length in zip(owners, lengths):

@@ -40,10 +40,6 @@ class Opcode:
     is_defined: bool = True
 
     @property
-    def is_push(self) -> bool:
-        return self.immediate_len > 0 or self.byte_value == 0x5F
-
-    @property
     def is_terminator(self) -> bool:
         return self.byte_value in (0x00, 0xF3, 0xFD, 0xFF, 0x56) or self.mnemonic == "INVALID"
 
@@ -145,8 +141,7 @@ class Instruction:
 @dataclass(frozen=True)
 class Program:
     instructions: tuple
-    stripped_metadata: bytes = b""
-    code_body: bytes = b""
+    code_body: bytes
 
     @cached_property
     def code_hash(self) -> bytes:
@@ -257,7 +252,7 @@ def disassemble(code_body: bytes) -> Program:
         fields["truncated"] = nxt > end  # a PUSH running past the end
         append(ins)
         pos = nxt
-    return Program(tuple(instructions), b"", code_body)
+    return Program(tuple(instructions), code_body)
 
 
 def reserialize(program: Program) -> bytes:

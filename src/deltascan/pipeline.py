@@ -81,9 +81,7 @@ class ScanResult:
             "code_hash": self.code_hash,
             "findings": [
                 {
-                    "selector": "0x" + f.query_function_id[1].hex()
-                    if isinstance(f.query_function_id[1], bytes) else
-                    str(f.query_function_id[1]),
+                    "selector": "0x" + f.query_function_id[1].hex(),
                     "defect": f.defect_class.value,
                     "max_block_distance": f.max_block_distance,
                     "matched": {"contract": f.matched_contract,
@@ -240,12 +238,12 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
     })
 
 
-def _build_index(plan: _EmbedPlan, config: EmbeddingConfig, params,
-                 use_sequence: bool = True, use_graph: bool = True) -> tuple:
+def _build_index(plan: _EmbedPlan, params, use_sequence: bool = True,
+                 use_graph: bool = True) -> tuple:
     """Embed the plan's functions under one encoder variant into a new
     index. Returns (index, milliseconds spent embedding)."""
-    memo = params.memo.bind(plan.vocab, config)
-    index = AnnIndex(config.block_dim)
+    memo = params.memo.bind(plan.vocab)
+    index = AnnIndex(params.config.block_dim)
     embed_ms = 0.0
     # one pass per contract over its distinct functions to store
     for _, group in itertools.groupby(plan.stored,
@@ -256,7 +254,7 @@ def _build_index(plan: _EmbedPlan, config: EmbeddingConfig, params,
         t0 = time.perf_counter()
         embedded = embed_contract(
             [(a.analysis.functions[i], a.paths[i]) for i in functions],
-            plan.vocab, params, config, use_sequence=use_sequence,
+            plan.vocab, params, use_sequence=use_sequence,
             use_graph=use_graph, memo=memo)
         embed_ms += (time.perf_counter() - t0) * 1e3
         by_function = dict(zip(functions, embedded))
@@ -274,7 +272,7 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
     sidecar)."""
     plan = _plan_embed(config, inputs)
     params = init_params(config.embedding)
-    index, embed_ms = _build_index(plan, config.embedding, params)
+    index, embed_ms = _build_index(plan, params)
     save_index(index, config.index_path)
     save_vocabulary(plan.vocab, config.vocab_path)
 
@@ -306,9 +304,8 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     stats = {}
     t0 = time.perf_counter()
     embeddings = embed_contract(
-        functions, vocab, params, config.embedding,
-        use_sequence=use_sequence, use_graph=use_graph, stats=stats,
-        memo=params.memo.bind(vocab, config.embedding))
+        functions, vocab, params, use_sequence=use_sequence,
+        use_graph=use_graph, stats=stats, memo=params.memo.bind(vocab))
     result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
     result.timings_ms.update((name, stats[name]) for name in STAGES)
     t0 = time.perf_counter()
@@ -371,8 +368,7 @@ def cmd_ablate(config: PipelineConfig, embed_inputs, scan_inputs,
     scan_config = replace(config, threshold=max(thresholds))
     table = {}
     for name, use_sequence, use_graph in ABLATION_VARIANTS:
-        index, _ = _build_index(plan, config.embedding, params,
-                                use_sequence, use_graph)
+        index, _ = _build_index(plan, params, use_sequence, use_graph)
         distances = [f.max_block_distance for a in scans
                      for f in _detect_one(a, scan_config, index, plan.vocab,
                                           params, use_sequence,

@@ -12,13 +12,14 @@ packed encoder, so a test can compare the two.
 import numpy as np
 
 
-def _layer_norm(x, gain, bias):
+def _layer_norm(x):
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + 1e-5) * gain + bias
+    return (x - mean) / np.sqrt(var + 1e-5)
 
 
-def encode_reference(batch, params, config):
+def encode_reference(batch, params):
+    config = params.config
     valid = np.array([p.valid_len for p in batch])
     length = max(1, int(valid.max()))
     mask = np.arange(length) < valid[:, None]   # (n, L)
@@ -29,7 +30,7 @@ def encode_reference(batch, params, config):
     x = np.zeros((n, length, config.word_dim))
     for i, p in enumerate(batch):
         x[i, :p.valid_len] = p.rows
-    x = np.where(rows, x @ params.input_proj + params.input_bias, 0.0)
+    x = np.where(rows, x @ params.input_proj, 0.0)
 
     def split(mat):  # (n, h, L, dh)
         return (x @ mat).reshape(n, length, heads, head_dim).swapaxes(1, 2)
@@ -41,10 +42,9 @@ def encode_reference(batch, params, config):
         weights = np.exp(scores - scores.max(axis=3, keepdims=True))
         weights /= weights.sum(axis=3, keepdims=True)
         attn = (weights @ v).swapaxes(1, 2).reshape(n, length, -1)
-        x = _layer_norm(x + attn @ layer["wo"], layer["ln1_g"], layer["ln1_b"])
-        hidden = np.maximum(x @ layer["w1"] + layer["b1"], 0.0)
-        x = _layer_norm(x + hidden @ layer["w2"] + layer["b2"],
-                        layer["ln2_g"], layer["ln2_b"])
+        x = _layer_norm(x + attn @ layer["wo"])
+        hidden = np.maximum(x @ layer["w1"], 0.0)
+        x = _layer_norm(x + hidden @ layer["w2"])
         x = np.where(rows, x, 0.0)
 
     return [x[i, :p.valid_len].astype(np.float32)

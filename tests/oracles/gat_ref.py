@@ -17,8 +17,9 @@ def _leaky(x, slope=0.2):
 
 def dense_gat(features, edges, gat_layers):
     """features: (N, d); edges: iterable of (src, dst) WITHOUT self-loops;
-    gat_layers: sequence of dicts with 'w' (H, d_in, d_out), 'a_src',
-    'a_dst' (H, d_out). Heads concatenate except the last layer (average).
+    gat_layers: sequence of dicts with 'w' (d_in, H * d_out), the heads'
+    weights side by side, and 'a_src', 'a_dst' (H, d_out). Heads
+    concatenate except the last layer (average).
     """
     n = features.shape[0]
     adj = np.zeros((n, n), dtype=bool)  # adj[dst, src]: edge src -> dst
@@ -29,10 +30,11 @@ def dense_gat(features, edges, gat_layers):
     x = features.astype(np.float64)
     last = len(gat_layers) - 1
     for idx, layer in enumerate(gat_layers):
-        heads = layer["w"].shape[0]
+        heads, d_out = layer["a_src"].shape
         per_head = []
         for h in range(heads):
-            proj = x @ layer["w"][h].astype(np.float64)
+            w = layer["w"][:, h * d_out:(h + 1) * d_out]
+            proj = x @ w.astype(np.float64)
             e_src = proj @ layer["a_src"][h].astype(np.float64)
             e_dst = proj @ layer["a_dst"][h].astype(np.float64)
             scores = _leaky(e_src[None, :] + e_dst[:, None])  # (dst, src)

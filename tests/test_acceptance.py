@@ -93,8 +93,9 @@ def test_criterion_02_cfg_hand_trace_fixtures():
 
 
 def test_criterion_03_fusion_oracle():
+    config = EmbeddingConfig()
     avg = 11.7
-    w = fusion_weights([0, avg], avg)
+    w = fusion_weights([0, avg], avg, config)
     value_ok = abs(w[0] - 0.3053) <= 1e-3 and abs(w[1] - 0.6947) <= 1e-3
     law_ok = True
     rng = random.Random(3)
@@ -102,7 +103,7 @@ def test_criterion_03_fusion_oracle():
         positions = [rng.randint(0, 400)
                      for _ in range(rng.randint(1, 9))]
         avg_len = rng.uniform(0.5, 30.0)
-        weights = fusion_weights(positions, avg_len)
+        weights = fusion_weights(positions, avg_len, config)
         law_ok &= abs(float(weights.sum()) - 1.0) <= 1e-9
         order = sorted(range(len(positions)), key=positions.__getitem__)
         law_ok &= all(weights[a] <= weights[b] + 1e-12
@@ -150,9 +151,9 @@ def test_criterion_05_masking_pooling_graph_oracle():
                            config).rows.copy()
     neighbour[100:200] = 9.0
     isolation_delta = float(np.abs(
-        encode_sequences([clean], params, config)[0] -
+        encode_sequences([clean], params)[0] -
         encode_sequences([PathEmbedding(neighbour, False), clean],
-                         params, config)[1]).max())
+                         params)[1]).max())
 
     row = np.full((6, config.graph_dim), -0.75, dtype=np.float32)
     pool_delta = float(np.abs(pool_block(row, params) - row[0]).max())
@@ -161,7 +162,7 @@ def test_criterion_05_masking_pooling_graph_oracle():
     feats = rng.standard_normal((3, config.seq_dim)).astype(np.float32)
     chain = InstructionGraph(feats, ((0, 3),), ((0, 1), (1, 2)), ())
     gat_delta = float(np.abs(
-        encode_graph(chain, params, config) -
+        encode_graph(chain, params) -
         dense_gat(feats, [(0, 1), (1, 2)], params.gat_layers)).max())
 
     ok = isolation_delta <= 1e-6 and pool_delta <= 1e-6 and gat_delta <= 1e-5

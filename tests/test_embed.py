@@ -34,6 +34,22 @@ def test_single_block_function_shape(small_vocab, params, config):
     assert emb.function_id == fn.function_id
 
 
+@pytest.mark.parametrize("change", [{"seq_heads": 4}, {"m_max": 8},
+                                    {"seed": 7}, {"alpha": 0.3}],
+                         ids=["seq_heads", "m_max", "seed", "alpha"])
+def test_embed_function_refuses_another_config(small_vocab, params, config,
+                                               change):
+    """The encoder's settings are those its params were drawn for: a config
+    that differs from ``params.config`` is refused, not mixed in."""
+    from dataclasses import replace
+    code = build_contract([(MINT_SIGNATURE, vulnerable_mint_body(3))])
+    with pytest.raises(ValueError):
+        _embed(code, small_vocab, params, replace(config, **change))
+    fn, emb = _embed(code, small_vocab, params, replace(config))
+    (alone,) = embed_contract([(fn, extract_paths(fn))], small_vocab, params)
+    assert _bits([emb]) == _bits([alone])
+
+
 def test_embedding_deterministic_across_runs(small_vocab, config):
     code = build_contract([("approve(address,uint256)", setter_body(1))])
     p1, p2 = init_params(config), init_params(config)
@@ -232,7 +248,7 @@ def test_contract_pass_equals_per_function(small_vocab, params, config,
         ("approve(address,uint256)", _straight_line_body(config.m_max))]))
     assert [len(fn.blocks[0].instructions) for fn, _ in items].count(1) == 1
 
-    together = embed_contract(items, small_vocab, params, config,
+    together = embed_contract(items, small_vocab, params,
                               use_sequence, use_graph)
     assert len(together) == len(items)
     for (fn, paths), emb in zip(items, together):
@@ -253,9 +269,9 @@ def test_contract_pass_rejects_a_function_without_blocks(small_vocab, params,
     empty = FunctionCfg((b"", 0), None, 0, (), frozenset())
     items = _items(build_contract([("owner()", getter_body(0))]))
     with pytest.raises(EmptyFunction):
-        embed_contract(items + [(empty, [])], small_vocab, params, config)
+        embed_contract(items + [(empty, [])], small_vocab, params)
     stats = {}
-    assert embed_contract([], small_vocab, params, config, stats=stats) == []
+    assert embed_contract([], small_vocab, params, stats=stats) == []
     assert stats["paths_encoded"] == 0
 
 
@@ -281,7 +297,7 @@ def test_contract_pass_encodes_each_distinct_path_once(small_vocab, params,
     monkeypatch.setattr(embed, "encode_sequences", count_paths)
     monkeypatch.setattr(embed, "encode_graph", count_nodes)
     stats = {}
-    embed_contract(items, small_vocab, params, config, stats=stats)
+    embed_contract(items, small_vocab, params, stats=stats)
     paths = [tuple(ins.opcode.mnemonic for bid in p.blocks
                    for ins in fn.blocks[bid].instructions)
              for fn, paths in items for p in paths]
@@ -318,10 +334,10 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
     embed_function gives each function alone; the second pass encodes
     nothing."""
     params = init_params(config)
-    memo = params.memo.bind(small_vocab, config)
+    memo = params.memo.bind(small_vocab)
     first = _memo_items(config, 1)
     stats = {}
-    embed_contract(first, small_vocab, params, config, stats=stats, memo=memo)
+    embed_contract(first, small_vocab, params, stats=stats, memo=memo)
     assert stats["paths_reused"] == 0
     encoded = stats["paths_encoded"]
     assert len(memo) == encoded and memo.rows == sum(
@@ -342,7 +358,7 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
                         lambda *args: calls.append(args))
     for use_graph in (True, False):
         stats = {}
-        served = embed_contract(clones, small_vocab, params, config,
+        served = embed_contract(clones, small_vocab, params,
                                 use_graph=use_graph, stats=stats, memo=memo)
         assert calls == [] and stats["paths_encoded"] == 0
         assert stats["paths_reused"] == encoded
@@ -352,37 +368,30 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
 
 def test_memo_rows_are_read_only(small_vocab, config):
     params = init_params(config)
-    memo = params.memo.bind(small_vocab, config)
-    embed_contract(_memo_items(config, 1), small_vocab, params, config,
-                   memo=memo)
+    memo = params.memo.bind(small_vocab)
+    embed_contract(_memo_items(config, 1), small_vocab, params, memo=memo)
     for rows, _ in memo.values():
         assert not rows.flags.writeable and rows.base is None
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
 
 
-def test_memo_resets_on_another_vocabulary_or_config(small_vocab, config):
-    """A memo filled under one vocabulary object and config is emptied,
-    not served, when bound to another vocabulary object (even an equal
-    one) or another config."""
-    from dataclasses import replace
+def test_memo_resets_on_another_vocabulary(small_vocab, config):
+    """A memo filled under one vocabulary object is emptied, not served,
+    when bound to another vocabulary object, even an equal one."""
     params = init_params(config)
     items = _memo_items(config, 1)
-    memo = params.memo.bind(small_vocab, config)
-    embed_contract(items, small_vocab, params, config, memo=memo)
-    assert params.memo.bind(small_vocab, config) is memo and len(memo) > 0
+    memo = params.memo.bind(small_vocab)
+    embed_contract(items, small_vocab, params, memo=memo)
+    assert params.memo.bind(small_vocab) is memo and len(memo) > 0
 
     twin = Vocabulary(small_vocab.vectors, small_vocab.word_dim,
                       small_vocab.training_corpus_hash)
-    for vocab, cfg in [(twin, config), (small_vocab, replace(config, m_max=8))]:
-        filled = params.memo.bind(small_vocab, config)
-        embed_contract(items, small_vocab, params, config, memo=filled)
-        assert len(filled) > 0
-        memo = params.memo.bind(vocab, cfg)
-        assert len(memo) == 0 and memo.rows == 0
-        stats = {}
-        embed_contract(items, vocab, params, cfg, stats=stats, memo=memo)
-        assert stats["paths_reused"] == 0
+    memo = params.memo.bind(twin)
+    assert len(memo) == 0 and memo.rows == 0
+    stats = {}
+    embed_contract(items, twin, params, stats=stats, memo=memo)
+    assert stats["paths_reused"] == 0
 
 
 def test_memo_evicts_least_recently_used_past_its_budget(small_vocab, config,
@@ -391,12 +400,11 @@ def test_memo_evicts_least_recently_used_past_its_budget(small_vocab, config,
     least recently go first, and the bits stay those of embed_function."""
     monkeypatch.setattr(memo_module, "MEMO_ROWS", 64)
     params = init_params(config)
-    memo = params.memo.bind(small_vocab, config)
+    memo = params.memo.bind(small_vocab)
     items = _memo_items(config, 1)
     truncated = 0
     for fn, paths in items + items:
-        served = embed_contract([(fn, paths)], small_vocab, params, config,
-                                memo=memo)
+        served = embed_contract([(fn, paths)], small_vocab, params, memo=memo)
         assert memo.rows == sum(len(r) for r, _ in memo.values()) <= 64
         assert _bits(served) == _bits([embed_function(
             fn, paths, small_vocab, init_params(config), config)])

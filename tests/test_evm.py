@@ -89,7 +89,7 @@ def _reference_disassemble(code_body: bytes) -> Program:
         instructions.append(Instruction(pos, opcode, immediate,
                                         len(immediate) < opcode.immediate_len))
         pos += 1 + len(immediate)
-    return Program(tuple(instructions), b"", code_body)
+    return Program(tuple(instructions), code_body)
 
 
 def _assert_same_program(code_body: bytes):

@@ -65,7 +65,7 @@ def test_encode_graph_matches_dense_oracle(params, config):
                      (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])]:
         feats = rng.standard_normal((n, config.seq_dim)).astype(np.float32)
         graph = InstructionGraph(feats, ((0, n),), tuple(edges), ())
-        ours = encode_graph(graph, params, config)
+        ours = encode_graph(graph, params)
         ref = dense_gat(feats, edges, params.gat_layers)
         assert ours.shape == (n, config.graph_dim)
         assert np.abs(ours - ref).max() <= 1e-5
@@ -86,7 +86,7 @@ def test_encode_graph_high_fan_in_unsorted_edges(params, config):
     half = len(edges) // 2
     graph = InstructionGraph(feats, ((0, n),), tuple(edges[:half]),
                              tuple(edges[half:]))
-    ours = encode_graph(graph, params, config)
+    ours = encode_graph(graph, params)
     ref = dense_gat(feats, edges, params.gat_layers)
     assert ours.shape == (n, config.graph_dim)
     assert np.abs(ours - ref).max() <= 1e-5
@@ -96,7 +96,7 @@ def test_encode_graph_unit_basis_chain(params, config):
     feats = np.zeros((3, config.seq_dim), dtype=np.float32)
     feats[0, 0] = feats[1, 1] = feats[2, 2] = 1.0
     graph = InstructionGraph(feats, ((0, 3),), ((0, 1), (1, 2)), ())
-    ours = encode_graph(graph, params, config)
+    ours = encode_graph(graph, params)
     ref = dense_gat(feats, [(0, 1), (1, 2)], params.gat_layers)
     assert np.abs(ours - ref).max() <= 1e-5
 
@@ -104,7 +104,7 @@ def test_encode_graph_unit_basis_chain(params, config):
 def test_isolated_node_self_loop_only(params, config):
     feats = np.ones((1, config.seq_dim), dtype=np.float32)
     graph = InstructionGraph(feats, ((0, 1),), (), ())
-    out = encode_graph(graph, params, config)
+    out = encode_graph(graph, params)
     assert out.shape == (1, config.graph_dim)
     assert np.isfinite(out).all()
 
@@ -114,14 +114,14 @@ def test_permutation_equivariance(params, config):
     feats = rng.standard_normal((4, config.seq_dim)).astype(np.float32)
     edges = [(0, 1), (1, 2), (2, 3)]
     base = encode_graph(InstructionGraph(feats, ((0, 4),), tuple(edges), ()),
-                        params, config)
+                        params)
     perm = [2, 0, 3, 1]  # new label of old node i
     p_edges = tuple((perm[a], perm[b]) for a, b in edges)
     p_feats = np.empty_like(feats)
     for old, new in enumerate(perm):
         p_feats[new] = feats[old]
     permuted = encode_graph(InstructionGraph(p_feats, ((0, 4),), p_edges, ()),
-                            params, config)
+                            params)
     for old, new in enumerate(perm):
         np.testing.assert_allclose(permuted[new], base[old], atol=1e-5)
 
@@ -130,10 +130,10 @@ def test_encode_graph_rejects_bad_input(params, config):
     with pytest.raises(DimensionMismatch):
         encode_graph(InstructionGraph(np.zeros((0, config.seq_dim),
                                                dtype=np.float32),
-                                      (), (), ()), params, config)
+                                      (), (), ()), params)
     with pytest.raises(DimensionMismatch):
         encode_graph(InstructionGraph(np.zeros((2, 7), dtype=np.float32),
-                                      ((0, 2),), (), ()), params, config)
+                                      ((0, 2),), (), ()), params)
 
 
 def test_pool_identical_rows_is_identity(params, config):

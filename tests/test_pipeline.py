@@ -76,8 +76,7 @@ def _variant_index(inputs, variant) -> tuple:
     config = PipelineConfig(threshold=float("inf"))
     plan = pipeline._plan_embed(config, inputs)
     params = pipeline.init_params(config.embedding)
-    index, _ = pipeline._build_index(plan, config.embedding, params,
-                                     use_sequence, use_graph)
+    index, _ = pipeline._build_index(plan, params, use_sequence, use_graph)
     return config, plan.vocab, params, index
 
 
@@ -397,8 +396,8 @@ def test_selector_gate_keeps_every_finding_bit_for_bit(mixed_inputs, variant):
     assert None in [fn.selector for fn in functions]  # the fallback
     ungated = embed_contract(
         [(fn, list(enumerate_paths(fn, config.max_paths).paths))
-         for fn in functions], vocab, params, config.embedding,
-        use_sequence=use_sequence, use_graph=use_graph)
+         for fn in functions], vocab, params, use_sequence=use_sequence,
+        use_graph=use_graph)
     expected = [f for emb in ungated
                 for f in decide_similar(emb, index, config.threshold)]
     res = pipeline._detect_one(

@@ -39,7 +39,7 @@ def test_embed_path_truncation(small_vocab, config):
 def test_encode_output_shape(small_vocab, config, params):
     batch = [embed_path(["PUSH1", "ADD", "STOP"], small_vocab, config)
              for _ in range(3)]
-    out = encode_sequences(batch, params, config)
+    out = encode_sequences(batch, params)
     assert len(out) == 3
     for rows in out:
         assert rows.shape == (3, config.seq_dim)
@@ -50,27 +50,27 @@ def test_identical_paths_encode_identically(small_vocab, config, params):
     a = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config)
     b = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config)
     filler = embed_path(["JUMPDEST", "STOP"], small_vocab, config)
-    out = encode_sequences([a, filler, b], params, config)
+    out = encode_sequences([a, filler, b], params)
     np.testing.assert_array_equal(out[0], out[2])
 
 
 def test_determinism(small_vocab, config, params):
     batch = [embed_path(["DUP1", "PUSH4", "EQ"], small_vocab, config)]
-    (o1,) = encode_sequences(batch, params, config)
-    (o2,) = encode_sequences(batch, params, config)
+    (o1,) = encode_sequences(batch, params)
+    (o2,) = encode_sequences(batch, params)
     assert o1.tobytes() == o2.tobytes()
 
 
 def test_output_holds_valid_rows_only(small_vocab, config, params):
     pe = embed_path(["PUSH1", "ADD"], small_vocab, config)
-    (rows,) = encode_sequences([pe], params, config)
+    (rows,) = encode_sequences([pe], params)
     assert rows.shape == (2, config.seq_dim)
 
 
 def test_fully_masked_path_is_finite(small_vocab, config, params):
     empty = embed_path([], small_vocab, config)
     other = embed_path(["STOP"], small_vocab, config)
-    out = encode_sequences([empty, other], params, config)
+    out = encode_sequences([empty, other], params)
     assert all(np.isfinite(rows).all() for rows in out)
     assert out[0].shape == (0, config.seq_dim)
 
@@ -79,9 +79,9 @@ def test_dimension_mismatch_rejected(params, config):
     for rows in (np.zeros((1, 32)), np.zeros((0, 32)), np.zeros(64)):
         bad = PathEmbedding(rows.astype(np.float32), False)
         with pytest.raises(DimensionMismatch):
-            encode_sequences([bad], params, config)
+            encode_sequences([bad], params)
     with pytest.raises(DimensionMismatch):
-        encode_sequences([], params, config)
+        encode_sequences([], params)
 
 
 def _attention_pack(rng, config, lengths):
@@ -144,8 +144,8 @@ def test_encode_matches_oracle(lengths, magnitude, params, config):
     exact-softmax reference."""
     rng = np.random.default_rng(0)
     batch = [_random_path(rng, config, n, magnitude) for n in lengths]
-    out = encode_sequences(batch, params, config)
-    expected = encode_reference(batch, params, config)
+    out = encode_sequences(batch, params)
+    expected = encode_reference(batch, params)
     for rows, want in zip(out, expected):
         assert np.isfinite(rows).all()
         np.testing.assert_allclose(rows, want, rtol=0, atol=1e-5)
@@ -157,11 +157,11 @@ def test_zero_length_paths_encode_to_no_rows(params, config):
     rng = np.random.default_rng(3)
     lengths = [0, 5, 0, 1, 33]
     batch = [_random_path(rng, config, n) for n in lengths]
-    out = encode_sequences(batch, params, config)
+    out = encode_sequences(batch, params)
     for rows, n in zip(out, lengths):
         assert rows.shape == (n, config.seq_dim)
         assert rows.any(axis=1).all()
-    assert encode_sequences(batch[:1], params, config)[0].shape == \
+    assert encode_sequences(batch[:1], params)[0].shape == \
         (0, config.seq_dim)
 
 
@@ -172,10 +172,10 @@ def test_encoding_is_bitwise_batch_invariant(params, config):
     rng = np.random.default_rng(5)
     lengths = [0, 1, 2, 512, 7, 1, 40]
     batch = [_random_path(rng, config, n) for n in lengths]
-    together = encode_sequences(batch, params, config)
-    backwards = encode_sequences(batch[::-1], params, config)[::-1]
+    together = encode_sequences(batch, params)
+    backwards = encode_sequences(batch[::-1], params)[::-1]
     for i, path in enumerate(batch):
-        alone = encode_sequences([path], params, config)[0]
+        alone = encode_sequences([path], params)[0]
         assert np.array_equal(alone, together[i]), lengths[i]
         assert np.array_equal(alone, backwards[i]), lengths[i]
 
@@ -189,12 +189,12 @@ def test_long_paths_group_bitwise_and_chunked(params, config):
     batch = [_random_path(rng, config, config.m_max) for _ in range(20)]
     tracemalloc.start()
     try:
-        together = encode_sequences(batch, params, config)
+        together = encode_sequences(batch, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     for path, rows in zip(batch, together):
-        assert np.array_equal(encode_sequences([path], params, config)[0],
+        assert np.array_equal(encode_sequences([path], params)[0],
                               rows)
     scores = config.seq_heads * config.m_max ** 2 * 4
     assert peak < 20 * scores / 2, peak
