@@ -129,8 +129,8 @@ def partition_blocks(program: Program) -> list:
 def resolve_edges(blocks: list) -> set:
     """Recover control-flow edges with the push-constant jump heuristic."""
     by_offset = {b.start_offset: b.block_id for b in blocks}
-    jumpdest_blocks = [b.block_id for b in blocks
-                       if b.instructions[0].opcode.byte_value == 0x5B]
+    jumpdest_blocks = {b.block_id for b in blocks
+                       if b.instructions[0].opcode.byte_value == 0x5B}
     edges = set()
     for block in blocks:
         kind = block.terminator_kind
@@ -279,10 +279,7 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
         raise ValueError("max_paths must be >= 1")
     if not cfg.blocks:
         return PathEnumeration((), False)
-    succ = {}
-    for e in cfg.edges:
-        succ.setdefault(e.src, set()).add(e.dst)
-    succ = {src: sorted(dsts) for src, dsts in succ.items()}
+    succ = {src: sorted(dsts) for src, dsts in _successors(cfg.edges).items()}
 
     paths = []
     hit_cap = False

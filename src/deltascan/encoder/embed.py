@@ -22,7 +22,8 @@ another encoder. ``embed_function`` takes a config too, and refuses one
 that is not equal to ``params.config``.
 
 Ablation switches mirror the detection variants: with the sequence stage
-off, raw word embeddings are projected and fused directly; with the graph
+off, a block's features are its raw word embeddings, projected once (the
+same rows on every path, so there is nothing to fuse); with the graph
 stage off, fused block features are pooled as-is. Pooled vectors whose
 dimension differs from block_dim are mapped up by a fixed seeded projection
 so every variant yields comparable block vectors.
@@ -74,31 +75,30 @@ def _word_rows(block, vocab: Vocabulary) -> np.ndarray:
 
 def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab,
                    params) -> tuple:
-    """Fused (instr_count, seq_dim) features of each block of one function,
-    from the block's occurrences on the function's paths: encoded rows
-    when ``encoded_paths`` (one (rows, truncated) per path) is given,
-    projected word vectors when it is None. A block on no path falls back
-    to its projected word vectors.
+    """Fused (instr_count, seq_dim) features of each block of one function.
+    With ``encoded_paths`` (one (rows, truncated) per path), a block fuses
+    its slices of the encoded rows of the function's paths; a block with no
+    such slice falls back to its projected word vectors. With
+    ``encoded_paths`` None, every block is its projected word vectors, and
+    the blocks on no path are the fallback ones.
 
     Returns (fused per block, raw word rows per block or None, paths
     truncated, fallback blocks).
     """
-    occurrences = [[] for _ in cfg.blocks]
-    truncated = 0
-    word_rows = None
     if encoded_paths is None:
         word_rows = [_word_rows(block, vocab) for block in cfg.blocks]
-        for path in paths:
-            for bid, start in zip(path.blocks, path.start_positions):
-                occurrences[bid].append((word_rows[bid] @ params.word_to_seq,
-                                         start))
-    else:
-        for (rows, cut), path in zip(encoded_paths, paths):
-            truncated += cut
-            for bid, start in zip(path.blocks, path.start_positions):
-                count = cfg.blocks[bid].instr_count
-                if start + count <= len(rows):  # drop those cut by m_max
-                    occurrences[bid].append((rows[start:start + count], start))
+        fused = [(rows @ params.word_to_seq).astype(np.float32)
+                 for rows in word_rows]
+        on_path = {bid for path in paths for bid in path.blocks}
+        return fused, word_rows, 0, len(cfg.blocks) - len(on_path)
+    occurrences = [[] for _ in cfg.blocks]
+    truncated = 0
+    for (rows, cut), path in zip(encoded_paths, paths):
+        truncated += cut
+        for bid, start in zip(path.blocks, path.start_positions):
+            count = cfg.blocks[bid].instr_count
+            if start + count <= len(rows):  # drop those cut by m_max
+                occurrences[bid].append((rows[start:start + count], start))
     fused = []
     fallback = 0
     for block, occ in zip(cfg.blocks, occurrences):
@@ -106,10 +106,9 @@ def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab,
             fused.append(fuse_block(occ, cfg.avg_block_len, params.config))
         else:
             fallback += 1
-            rows = (word_rows[block.block_id] if word_rows is not None
-                    else _word_rows(block, vocab))
-            fused.append((rows @ params.word_to_seq).astype(np.float32))
-    return fused, word_rows, truncated, fallback
+            fused.append((_word_rows(block, vocab) @ params.word_to_seq
+                          ).astype(np.float32))
+    return fused, None, truncated, fallback
 
 
 def embed_contract(items, vocab: Vocabulary, params: EncoderParams,

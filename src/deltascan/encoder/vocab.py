@@ -101,12 +101,11 @@ def _add_rows(w, index, rows):
         w[r] = np.add.reduce(upd, axis=0)
 
 
-def train_vocabulary(corpus: list, config: EmbeddingConfig | None = None) -> Vocabulary:
+def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
     """Train skip-gram embeddings over token sequences.
 
     corpus: list of token lists. Raises EmptyCorpus when no tokens exist.
     """
-    config = config or EmbeddingConfig()
     sequences = [seq for seq in corpus if seq]
     if not sequences:
         raise EmptyCorpus("no tokens in corpus")

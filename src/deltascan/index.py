@@ -174,7 +174,10 @@ class _Reader:
 
     def string(self) -> str:
         (length,) = self.unpack("<H")
-        return self.take(length).decode("utf-8")
+        try:
+            return self.take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"bad string in index file: {exc}") from exc
 
 
 def save_index(index: AnnIndex, path) -> None:

@@ -1,139 +1,48 @@
-"""Keccak-256 (the pre-NIST padding variant used by Ethereum).
-
-Self-contained so the scanner has no crypto dependency; matches the
-digest produced by Solidity's keccak256 builtin. ``hashlib.sha3_256``
-pads differently (0x06, not 0x01), so it gives other digests.
-
-It serves the ABI function selectors (``detectors.signature_selector``),
-which must be Keccak-256 to match the dispatcher's PUSH4 constants. The
-code identity ``Program.code_hash`` is SHA-256 (``hashlib``), so a scan
-does not run this pure-Python permutation over a contract's code.
-
-The permutation is unrolled: the 25 lanes are locals named ``a{x}{y}``
-and each round's theta, rho + pi, chi and iota steps are written out.
-In CPython this hashes about 3.5x faster than loops over a lane list
-(24 KB: 45 instead of 164 ms on a 2-core x86-64 host).
+"""Keccak-256 as Solidity's keccak256 builtin computes it (pre-NIST
+padding: ``hashlib.sha3_256`` pads with 0x06, not 0x01). It hashes ABI
+signatures only, for the selectors (``detectors.signature_selector``) that
+the dispatcher's PUSH4 constants hold; ``Program.code_hash`` is SHA-256.
 """
 
 from struct import unpack_from
 
 _MASK = (1 << 64) - 1
-
-_ROUND_CONSTANTS = (
-    0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
-    0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
-    0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
-    0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-    0x000000008000808B, 0x800000000000008B, 0x8000000000008089,
-    0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-    0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
-    0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-)
-
-# Rotation offsets r[x][y], written into the rho step below:
-#   (0, 36, 3, 41, 18), (1, 44, 10, 45, 2), (62, 6, 43, 15, 61),
-#   (28, 55, 25, 21, 56), (27, 20, 39, 8, 14)
-
 _RATE = 136  # bytes, for capacity 512 (keccak-256)
+_ROUND_CONSTANTS = (
+    0x1, 0x8082, 0x800000000000808A, 0x8000000080008000, 0x808B, 0x80000001,
+    0x8000000080008081, 0x8000000000008009, 0x8A, 0x88, 0x80008009, 0x8000000A,
+    0x8000808B, 0x800000000000008B, 0x8000000000008089, 0x8000000000008003,
+    0x8000000000008002, 0x8000000000000080, 0x800A, 0x800000008000000A,
+    0x8000000080008081, 0x8000000000008080, 0x80000001, 0x8000000080008008)
+_ROTATIONS = ((0, 36, 3, 41, 18), (1, 44, 10, 45, 2), (62, 6, 43, 15, 61),
+              (28, 55, 25, 21, 56), (27, 20, 39, 8, 14))
+# rho + pi as (source lane, destination lane, rotation), lanes indexed
+# x + 5*y: lane (x, y) is rotated by _ROTATIONS[x][y], moves to (y, 2x + 3y)
+_RHO_PI = tuple((x + 5 * y, y + 5 * ((2 * x + 3 * y) % 5), _ROTATIONS[x][y])
+                for x in range(5) for y in range(5))
+
+
+def _rotl(lane: int, n: int) -> int:
+    return ((lane << n) | (lane >> (64 - n))) & _MASK
 
 
 def _keccak_f(state: list) -> list:
-    """keccak-f[1600] permutation of a flat 25-lane list (index x + 5*y);
-    returns the permuted lanes as a new list."""
-    mask = _MASK
-    (a00, a10, a20, a30, a40, a01, a11, a21, a31, a41, a02, a12, a22,
-     a32, a42, a03, a13, a23, a33, a43, a04, a14, a24, a34, a44) = state
+    """keccak-f[1600] of a flat 25-lane list, as a new list."""
+    a, b = list(state), [0] * 25
     for rc in _ROUND_CONSTANTS:
-        # theta
-        c0 = a00 ^ a01 ^ a02 ^ a03 ^ a04
-        c1 = a10 ^ a11 ^ a12 ^ a13 ^ a14
-        c2 = a20 ^ a21 ^ a22 ^ a23 ^ a24
-        c3 = a30 ^ a31 ^ a32 ^ a33 ^ a34
-        c4 = a40 ^ a41 ^ a42 ^ a43 ^ a44
-        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & mask)
-        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & mask)
-        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & mask)
-        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & mask)
-        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & mask)
-        # theta applied, then rho (rotate) + pi (move): b[y][2x+3y] = rot(a[x][y])
-        b00 = a00 ^ d0
-        t = a01 ^ d0
-        b13 = ((t << 36) | (t >> 28)) & mask
-        t = a02 ^ d0
-        b21 = ((t << 3) | (t >> 61)) & mask
-        t = a03 ^ d0
-        b34 = ((t << 41) | (t >> 23)) & mask
-        t = a04 ^ d0
-        b42 = ((t << 18) | (t >> 46)) & mask
-        t = a10 ^ d1
-        b02 = ((t << 1) | (t >> 63)) & mask
-        t = a11 ^ d1
-        b10 = ((t << 44) | (t >> 20)) & mask
-        t = a12 ^ d1
-        b23 = ((t << 10) | (t >> 54)) & mask
-        t = a13 ^ d1
-        b31 = ((t << 45) | (t >> 19)) & mask
-        t = a14 ^ d1
-        b44 = ((t << 2) | (t >> 62)) & mask
-        t = a20 ^ d2
-        b04 = ((t << 62) | (t >> 2)) & mask
-        t = a21 ^ d2
-        b12 = ((t << 6) | (t >> 58)) & mask
-        t = a22 ^ d2
-        b20 = ((t << 43) | (t >> 21)) & mask
-        t = a23 ^ d2
-        b33 = ((t << 15) | (t >> 49)) & mask
-        t = a24 ^ d2
-        b41 = ((t << 61) | (t >> 3)) & mask
-        t = a30 ^ d3
-        b01 = ((t << 28) | (t >> 36)) & mask
-        t = a31 ^ d3
-        b14 = ((t << 55) | (t >> 9)) & mask
-        t = a32 ^ d3
-        b22 = ((t << 25) | (t >> 39)) & mask
-        t = a33 ^ d3
-        b30 = ((t << 21) | (t >> 43)) & mask
-        t = a34 ^ d3
-        b43 = ((t << 56) | (t >> 8)) & mask
-        t = a40 ^ d4
-        b03 = ((t << 27) | (t >> 37)) & mask
-        t = a41 ^ d4
-        b11 = ((t << 20) | (t >> 44)) & mask
-        t = a42 ^ d4
-        b24 = ((t << 39) | (t >> 25)) & mask
-        t = a43 ^ d4
-        b32 = ((t << 8) | (t >> 56)) & mask
-        t = a44 ^ d4
-        b40 = ((t << 14) | (t >> 50)) & mask
-        # chi, with iota on lane (0, 0)
-        a00 = b00 ^ (~b10 & b20) ^ rc
-        a10 = b10 ^ (~b20 & b30)
-        a20 = b20 ^ (~b30 & b40)
-        a30 = b30 ^ (~b40 & b00)
-        a40 = b40 ^ (~b00 & b10)
-        a01 = b01 ^ (~b11 & b21)
-        a11 = b11 ^ (~b21 & b31)
-        a21 = b21 ^ (~b31 & b41)
-        a31 = b31 ^ (~b41 & b01)
-        a41 = b41 ^ (~b01 & b11)
-        a02 = b02 ^ (~b12 & b22)
-        a12 = b12 ^ (~b22 & b32)
-        a22 = b22 ^ (~b32 & b42)
-        a32 = b32 ^ (~b42 & b02)
-        a42 = b42 ^ (~b02 & b12)
-        a03 = b03 ^ (~b13 & b23)
-        a13 = b13 ^ (~b23 & b33)
-        a23 = b23 ^ (~b33 & b43)
-        a33 = b33 ^ (~b43 & b03)
-        a43 = b43 ^ (~b03 & b13)
-        a04 = b04 ^ (~b14 & b24)
-        a14 = b14 ^ (~b24 & b34)
-        a24 = b24 ^ (~b34 & b44)
-        a34 = b34 ^ (~b44 & b04)
-        a44 = b44 ^ (~b04 & b14)
-    return [a00, a10, a20, a30, a40, a01, a11, a21, a31, a41, a02,
-            a12, a22, a32, a42, a03, a13, a23, a33, a43, a04, a14,
-            a24, a34, a44]
+        # theta, then rho + pi on the theta-applied lanes
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
+             for x in range(5)]
+        d = [c[x - 1] ^ _rotl(c[(x + 1) % 5], 1) for x in range(5)]
+        for src, dst, rot in _RHO_PI:
+            b[dst] = _rotl(a[src] ^ d[src % 5], rot)
+        # chi over each row, then iota on lane (0, 0)
+        for y in range(0, 25, 5):
+            row = b[y:y + 5]
+            for x in range(5):
+                a[y + x] = row[x] ^ (~row[(x + 1) % 5] & row[(x + 2) % 5])
+        a[0] ^= rc
+    return a
 
 
 def keccak256(data: bytes) -> bytes:

@@ -334,12 +334,15 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
     """Embed the functions of each contract that pass the selector gate and
     decide them against the index. Returns a list of ScanResult; a contract
     that fails carries its error and never aborts the call. Detectors and
-    report parsing never run here."""
+    report parsing never run here. Given ``params``, ``config.embedding``
+    must equal ``params.config``."""
     bytecode_files, _ = _load_inputs(inputs)
     if index is None:
         index = load_index(config.index_path)
         vocab = load_vocabulary(config.vocab_path)
         params = init_params(config.embedding)
+    if config.embedding != params.config:
+        raise ValueError("config.embedding is not the encoder params' own")
 
     results = []
     for path in bytecode_files:

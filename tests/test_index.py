@@ -180,6 +180,25 @@ def test_corrupt_files_rejected(tmp_path):
         load_index(trailing)
 
 
+def _with_contract_name(path, name: bytes):
+    """Rewrite the first entry's one-byte contract name, CRC kept valid."""
+    data = bytearray(path.read_bytes())
+    assert data[21:23] == struct.pack("<H", 1)
+    data[23:24] = name
+    data[17:21] = struct.pack("<I", zlib.crc32(bytes(data[21:])))
+    path.write_bytes(bytes(data))
+
+
+def test_non_utf8_string_with_a_valid_checksum_is_corrupt(tmp_path):
+    path = tmp_path / "name.idx"
+    save_index(_populated_index([[1.0]]), path)
+    _with_contract_name(path, b"D")
+    assert load_index(path).entries[0].label.contract_name == "D"
+    _with_contract_name(path, b"\xff")
+    with pytest.raises(CorruptFile, match="bad string in index file"):
+        load_index(path)
+
+
 def test_version_1_file_rejected(tmp_path):
     """Versions 1 and 2 hold vectors of earlier encoders and are refused."""
     # version 1, the HNSW-graph layout: magic, <HHBHHQ header, CRC-32,

@@ -3,7 +3,9 @@ import io
 import json
 import re
 import shlex
+import struct
 import sys
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import deltascan.pipeline as pipeline
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
 from deltascan.detectors import signature_selector
-from deltascan.encoder import embed, embed_contract, embed_function
+from deltascan.encoder import (EmbeddingConfig, embed, embed_contract,
+                               embed_function)
 from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError
@@ -277,6 +280,29 @@ def test_detect_counts_distinct_paths_encoded(mixed_index, tmp_path):
              for p in enumerate_paths(fn, config.max_paths).paths]
     assert res.counters["functions_embedded"] == 2
     assert res.counters["paths_encoded"] == len(set(paths)) < len(paths)
+
+
+def test_detect_refuses_a_config_other_than_its_params_own(mixed_index,
+                                                         tmp_path):
+    """Handed params, cmd_detect takes no second encoder description: a
+    config.embedding other than params.config raises before any scan, an
+    equal one scans."""
+    config, _ = mixed_index
+    target = tmp_path / "mint.bin"
+    target.write_bytes(build_contract([(MINT, vulnerable_mint_body(4))]))
+    index = pipeline.load_index(config.index_path)
+    vocab = pipeline.load_vocabulary(config.vocab_path)
+    params = pipeline.init_params(EmbeddingConfig())
+    other = replace(config, embedding=EmbeddingConfig(m_max=8))
+    with pytest.raises(ValueError, match="encoder params"):
+        cmd_detect(other, [str(target)], index=index, vocab=vocab,
+                   params=params)
+    assert len(params.memo) == 0  # nothing was encoded
+    equal = replace(config, embedding=EmbeddingConfig())
+    (res,) = cmd_detect(equal, [str(target)], index=index, vocab=vocab,
+                        params=params)
+    assert res.error is None
+    assert res.findings and res.counters["paths_encoded"] > 0
 
 
 def test_second_detect_serves_every_path_from_the_memo(mixed_index, tmp_path,
@@ -688,6 +714,25 @@ def test_cli_embed_detect_round_trip(tmp_path, corpus_dir, capsys):
     assert len(lines) == 1
     assert lines[0]["findings"]
     assert lines[0]["findings"][0]["max_block_distance"] == 0.0
+
+
+def test_cli_detect_on_a_non_utf8_index_name_is_one_error_line(
+        tmp_path, corpus_dir, capsys):
+    idx = tmp_path / "name.idx"
+    inputs = sorted(str(p) for p in corpus_dir.glob("*.bin"))[:1]
+    assert main(["--index", str(idx), "embed", *inputs]) == 0
+    capsys.readouterr()
+    # the first entry's contract name made invalid UTF-8, the CRC kept valid
+    data = bytearray(idx.read_bytes())
+    (length,) = struct.unpack("<H", data[21:23])
+    data[23:23 + length] = b"\xff" * length
+    data[17:21] = struct.pack("<I", zlib.crc32(bytes(data[21:])))
+    idx.write_bytes(bytes(data))
+    assert main(["--index", str(idx), "detect", inputs[0]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad string in index file")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_threshold_flag(tmp_path, corpus_dir, capsys):

@@ -11,26 +11,31 @@ from deltascan.errors import CorruptFile, EmptyCorpus
 from fixtures import make_corpus
 
 
-def test_single_token_corpus_shape():
-    vocab = train_vocabulary([["STOP"]])
+def test_single_token_corpus_shape(config):
+    vocab = train_vocabulary([["STOP"]], config)
     assert "STOP" in vocab
     assert vocab.lookup("STOP").shape == (64,)
     assert vocab.lookup("STOP").dtype == np.float32
 
 
-def test_oov_returns_zero_vector():
-    vocab = train_vocabulary([["STOP", "ADD"]])
+def test_oov_returns_zero_vector(config):
+    vocab = train_vocabulary([["STOP", "ADD"]], config)
     zero = vocab.lookup("NOT_AN_OPCODE")
     assert zero.shape == (64,)
     assert not zero.any()
     assert "NOT_AN_OPCODE" not in vocab
 
 
-def test_empty_corpus_raises():
+def test_empty_corpus_raises(config):
     with pytest.raises(EmptyCorpus):
-        train_vocabulary([])
+        train_vocabulary([], config)
     with pytest.raises(EmptyCorpus):
-        train_vocabulary([[], []])
+        train_vocabulary([[], []], config)
+
+
+def test_config_is_required():
+    with pytest.raises(TypeError):
+        train_vocabulary([["STOP"]])
 
 
 def test_training_is_deterministic(small_vocab, config):
@@ -42,16 +47,16 @@ def test_training_is_deterministic(small_vocab, config):
         assert v1.vectors[token].tobytes() == v2.vectors[token].tobytes()
 
 
-def test_different_corpora_have_different_hashes():
-    a = train_vocabulary([["ADD", "STOP"]])
-    b = train_vocabulary([["MUL", "STOP"]])
+def test_different_corpora_have_different_hashes(config):
+    a = train_vocabulary([["ADD", "STOP"]], config)
+    b = train_vocabulary([["MUL", "STOP"]], config)
     assert a.training_corpus_hash != b.training_corpus_hash
 
 
-def test_cooccurring_tokens_correlate():
+def test_cooccurring_tokens_correlate(config):
     # PUSH1/ADD always co-occur; XOR lives in disjoint sequences
     corpus = [["PUSH1", "ADD"]] * 40 + [["XOR", "MLOAD"]] * 40
-    vocab = train_vocabulary(corpus)
+    vocab = train_vocabulary(corpus, config)
 
     def cos(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
