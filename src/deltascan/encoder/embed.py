@@ -10,11 +10,17 @@ functions' instruction graphs. A path encodes to the same bits in any
 batch and graph attention is node-local, so every block vector is the same,
 bit for bit, as when its function is embedded alone (``embed_function``).
 
-Given a ``memo.PathMemo``, a pass encodes only the paths the memo does not
-hold yet and adds them to it; the others are served from it, with the bits
-a new encoding would give. The pipeline passes the memo of its encoder
-params, so a scan of many clones encodes each distinct path once.
-``embed_function`` passes none and encodes every path of its function.
+Given a ``memo.EncoderMemo``, a pass first looks each function up by its
+key (``_function_key``: the variant, its blocks' tokens, edges and paths).
+A function the memo holds is served from it whole: sequence, fusion, graph
+and pooling are skipped. Each other distinct function is embedded once,
+with the paths the memo holds served from it and the rest encoded, and
+the function and its new paths are added to it. Either way the bits are
+those a new embedding would give: the graph encoding of a union of only
+the missed functions is, for each of them, that of the whole contract.
+The pipeline passes the memo of its encoder params, so a scan of many
+clones embeds each distinct function once. ``embed_function`` passes
+none and embeds its function afresh.
 
 Every stage reads its settings from ``params.config``, the config the
 weights were drawn for, so a pass cannot mix weights with the settings of
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +49,7 @@ from .config import EmbeddingConfig
 from .fusion import fuse_block
 from .graph import (build_instruction_graph, encode_graph, pool_block,
                     union_graphs)
-from .memo import PathMemo
+from .memo import EncoderMemo
 from .params import EncoderParams
 from .sequence import embed_path, encode_sequences
 from .vocab import Vocabulary
@@ -111,18 +118,34 @@ def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab,
     return fused, None, truncated, fallback
 
 
+def _function_key(cfg: FunctionCfg, paths, tokens: tuple, use_sequence: bool,
+                  use_graph: bool) -> tuple:
+    """Everything a function's block vectors and counts depend on, under
+    one params object and vocabulary: the variant, each block's tokens in
+    block order, the distinct block pairs of its edges (all that
+    ``build_instruction_graph`` reads of them), and each path's blocks,
+    which fix its start positions and tokens, the fallback blocks and the
+    path cap. Ids, selectors and immediates are not in it."""
+    return (use_sequence, use_graph, tokens,
+            tuple(sorted({(edge.src, edge.dst) for edge in cfg.edges})),
+            tuple(path.blocks for path in paths))
+
+
 def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
                    use_sequence: bool = True,
                    use_graph: bool = True,
                    stats: dict | None = None,
-                   memo: PathMemo | None = None) -> list:
+                   memo: EncoderMemo | None = None) -> list:
     """Embed the functions of one contract in one pass.
 
     ``items`` is a list of ``(FunctionCfg, paths)``; the result holds one
     FunctionEmbedding per item, in order. With a ``memo`` (bound to
-    ``vocab``), paths it holds are not encoded again. When
-    ``stats`` is given, it receives ``paths_encoded`` (distinct path token
-    sequences sent to the encoder), ``paths_reused`` (those served from the
+    ``vocab``), a function it holds is served from it, and so is every path
+    of the others that it holds; each distinct function the memo does not
+    hold is embedded once and added to it. When ``stats`` is given, it
+    receives ``functions_reused`` (items not embedded by this pass),
+    ``paths_encoded`` (distinct path token sequences of the embedded
+    functions sent to the encoder), ``paths_reused`` (those served from the
     memo) and the milliseconds of the pass's stages, named in STAGES.
     """
     config = params.config
@@ -131,13 +154,30 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
             raise EmptyFunction(f"function {cfg.function_id} has no blocks")
     marks = [time.perf_counter()]
 
-    # sequence: every distinct path of the contract that the memo does not
-    # hold, encoded in one call
-    keys = [None] * len(items)  # per function, its paths' token tuples
+    # functions: those the memo holds are served; of the others, each
+    # distinct one is embedded once, below
+    tokens = [tuple(tuple(_block_tokens(block)) for block in cfg.blocks)
+              for cfg, _ in items]
+    served = [None] * len(items)  # per item, (vectors, (truncated, fallback))
+    todo = range(len(items))      # the items to embed
+    if memo is not None:
+        function_keys = [_function_key(cfg, paths, t, use_sequence, use_graph)
+                         for (cfg, paths), t in zip(items, tokens)]
+        first_of = {}  # function key -> the item embedded for it
+        for i, key in enumerate(function_keys):
+            served[i] = memo.hit(key)
+            if served[i] is None:
+                first_of.setdefault(key, i)
+        todo = list(first_of.values())
+    missed = [items[i] for i in todo]
+
+    # sequence: every distinct path of the functions to embed that the memo
+    # does not hold, encoded in one call
+    keys = [None] * len(missed)  # per function, its paths' token tuples
     if use_sequence:
-        keys = [[tuple(t for bid in path.blocks
-                       for t in _block_tokens(cfg.blocks[bid]))
-                 for path in paths] for cfg, paths in items]
+        keys = [[tuple(chain.from_iterable(tokens[i][bid]
+                                           for bid in path.blocks))
+                 for path in items[i][1]] for i in todo]
     encoded = dict.fromkeys(k for function in keys if function
                             for k in function)  # token tuple -> (rows, cut)
     misses = list(encoded)
@@ -158,13 +198,13 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
                               None if function is None
                               else [encoded[k] for k in function],
                               vocab, params)
-               for (cfg, paths), function in zip(items, keys)]
+               for (cfg, paths), function in zip(missed, keys)]
     marks.append(time.perf_counter())
 
     # graph: one encoding of the union of the functions' instruction graphs
-    if use_graph and items:
+    if use_graph and missed:
         union = union_graphs([build_instruction_graph(cfg, fused) for
-                              (cfg, _), (fused, *_) in zip(items, fusions)])
+                              (cfg, _), (fused, *_) in zip(missed, fusions)])
         states = encode_graph(union, params)
         per_block = [states[first:first + count]
                      for first, count in union.block_spans]
@@ -184,15 +224,22 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite block vector")
         vectors.append(z)
-    embeddings = []
-    for (cfg, _), (_, _, truncated, fallback) in zip(items, fusions):
-        embeddings.append(FunctionEmbedding(
-            cfg.function_id, cfg.selector, tuple(vectors[:len(cfg.blocks)]),
-            paths_truncated=truncated, fallback_blocks=fallback))
-        vectors = vectors[len(cfg.blocks):]
+    for i, (cfg, _), (_, _, truncated, fallback) in zip(todo, missed,
+                                                        fusions):
+        own, vectors = vectors[:len(cfg.blocks)], vectors[len(cfg.blocks):]
+        served[i] = (own, (truncated, fallback)) if memo is None \
+            else memo.add(function_keys[i], np.stack(own),
+                          (truncated, fallback))
+    if memo is not None:  # twins of a function embedded in this pass
+        served = [entry or served[first_of[key]]
+                  for entry, key in zip(served, function_keys)]
+    embeddings = [FunctionEmbedding(cfg.function_id, cfg.selector,
+                                    tuple(own), *counts)
+                  for (cfg, _), (own, counts) in zip(items, served)]
     marks.append(time.perf_counter())
 
     if stats is not None:
+        stats["functions_reused"] = len(items) - len(todo)
         stats["paths_encoded"] = len(misses)
         stats["paths_reused"] = len(encoded) - len(misses)
         for name, begin, end in zip(STAGES, marks, marks[1:]):

@@ -12,9 +12,9 @@ dimension) are drawn unconditionally so every variant shares one params
 object.
 
 Every stage reads its settings from ``config``, the one the weights were
-drawn for. Each params object also carries the memo of the sequence
-encodings made with it (``memo``, see ``memo.PathMemo``): it lives and
-dies with them.
+drawn for. Each params object also carries the memo of the path
+encodings and function block vectors made with it (``memo``, see
+``memo.EncoderMemo``): it lives and dies with them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EmbeddingConfig
-from .memo import PathMemo
+from .memo import EncoderMemo
 
 
 def _uniform(rng, shape, fan_in):
@@ -41,7 +41,7 @@ class EncoderParams:
     gat_layers: tuple           # per-layer dict of arrays
     pool: dict                  # input dim -> (W, a)
     block_proj: dict            # input dim -> projection to block_dim
-    memo: PathMemo = field(default_factory=PathMemo, compare=False,
+    memo: EncoderMemo = field(default_factory=EncoderMemo, compare=False,
                            repr=False)
 
 

@@ -75,6 +75,7 @@ class AnnIndex:
         self.entries: list = []           # IndexEntry, in insertion order
         self._groups: dict = {}           # function_key -> [entry positions]
         self._by_selector: dict = {}      # selector -> [function keys]
+        self._stacks: dict = {}           # function_key -> stacked vectors
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -89,6 +90,7 @@ class AnnIndex:
             self._by_selector.setdefault(label.selector, []).append(
                 label.function_key)
         self._groups[label.function_key].append(len(self.entries))
+        self._stacks.pop(label.function_key, None)
         self.entries.append(IndexEntry(vec, label))
 
     def query(self, vector, k: int = 1) -> list:
@@ -114,6 +116,15 @@ class AnnIndex:
     def function_entries(self, function_key) -> list:
         return [self.entries[i] for i in self._groups.get(function_key, ())]
 
+    def function_vectors(self, function_key) -> np.ndarray:
+        """The block vectors of a stored function as one (blocks, dim)
+        array, stacked on first use and again after an insert into it."""
+        stack = self._stacks.get(function_key)
+        if stack is None:
+            stack = self._stacks[function_key] = np.stack(
+                [e.vector for e in self.function_entries(function_key)])
+        return stack
+
 
 def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
                    threshold: float = 0.1, nearest: dict | None = None) -> list:
@@ -129,12 +140,11 @@ def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
         return []  # selector gate: anonymous functions cannot match labels
 
     findings = []
+    query = np.stack(query_fn.block_vectors)[:, None, :]
     for key in index.function_keys(query_fn.selector):
-        stored = np.stack([e.vector for e in index.function_entries(key)])
-        distances = []
-        for vec in query_fn.block_vectors:
-            diff = stored - vec
-            distances.append(float(np.sqrt((diff * diff).sum(axis=1).min())))
+        diff = index.function_vectors(key)[None, :, :] - query  # (Q, S, D)
+        distances = [float(d) for d in
+                     np.sqrt((diff * diff).sum(axis=2).min(axis=1))]
         farthest = max(distances)
         if nearest is not None:
             nearest[query_fn.selector] = min(

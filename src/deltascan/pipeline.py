@@ -295,8 +295,10 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                 use_graph: bool = True) -> ScanResult:
     """Embed, in one pass, the functions of one analyzed contract that pass
     the selector gate, and decide each against the index, built under the
-    same encoder variant. Paths encoded by earlier calls with the same
-    ``params`` and ``vocab`` are served from the params' memo."""
+    same encoder variant. A function that an earlier call with the same
+    ``params``, ``vocab`` and variant embedded, or its clone, is served
+    whole from the params' memo, and so are the paths such calls encoded;
+    the counters say how many of each."""
     result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
     functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
@@ -325,6 +327,7 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                        "fallback_blocks": sum(
                            e.fallback_blocks for e in embeddings),
                        "functions_embedded": len(embeddings),
+                       "functions_reused": stats["functions_reused"],
                        "functions_gated": with_blocks - len(embeddings)}
     return result
 
@@ -334,9 +337,14 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
     """Embed the functions of each contract that pass the selector gate and
     decide them against the index. Returns a list of ScanResult; a contract
     that fails carries its error and never aborts the call. Detectors and
-    report parsing never run here. Given ``params``, ``config.embedding``
-    must equal ``params.config``."""
+    report parsing never run here. ``index``, ``vocab`` and ``params`` are
+    given together, or else all three are loaded; given ``params``,
+    ``config.embedding`` must equal ``params.config``."""
     bytecode_files, _ = _load_inputs(inputs)
+    given = [artifact is not None for artifact in (index, vocab, params)]
+    if any(given) and not all(given):
+        raise ValueError("index, vocab and params are given together or "
+                         "not at all")
     if index is None:
         index = load_index(config.index_path)
         vocab = load_vocabulary(config.vocab_path)

@@ -304,8 +304,9 @@ def test_contract_pass_encodes_each_distinct_path_once(small_vocab, params,
     assert batches == [stats["paths_encoded"]] == [len(set(paths))]
     assert len(set(paths)) < len(paths)  # the twin setter adds no path
     assert nodes == [sum(b.instr_count for fn, _ in items for b in fn.blocks)]
-    assert set(stats) == {"paths_encoded", "paths_reused", *embed.STAGES}
-    assert stats["paths_reused"] == 0  # no memo given
+    assert set(stats) == {"functions_reused", "paths_encoded",
+                          "paths_reused", *embed.STAGES}
+    assert stats["paths_reused"] == stats["functions_reused"] == 0  # no memo
     assert all(stats[name] >= 0 for name in embed.STAGES)
 
 
@@ -327,12 +328,19 @@ def _bits(embeddings) -> list:
              [v.tobytes() for v in e.block_vectors]) for e in embeddings]
 
 
+def _path_entries(memo) -> dict:
+    """The memo's path entries: their keys are token tuples, while a
+    function key starts with the variant's flags."""
+    return {k: v for k, v in memo.items() if isinstance(k[0], str)}
+
+
 def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
                                                    monkeypatch):
-    """A clone's paths, a one-token path and a path cut at m_max, served
-    from the memo a pass over another contract filled, give the bits that
-    embed_function gives each function alone; the second pass encodes
-    nothing."""
+    """Clones of the functions a pass over another contract embedded (one
+    with a one-token path, one with a path cut at m_max) are served from
+    the memo whole, with the bits embed_function gives each alone: the
+    second pass encodes nothing. Under another variant the functions are
+    embedded again, from the paths the memo holds."""
     params = init_params(config)
     memo = params.memo.bind(small_vocab)
     first = _memo_items(config, 1)
@@ -340,10 +348,15 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
     embed_contract(first, small_vocab, params, stats=stats, memo=memo)
     assert stats["paths_reused"] == 0
     encoded = stats["paths_encoded"]
-    assert len(memo) == encoded and memo.rows == sum(
-        len(rows) for rows, _ in memo.values())
-    assert any(cut for _, cut in memo.values())
-    assert min(len(rows) for rows, _ in memo.values()) == 1
+    paths = _path_entries(memo)
+    # one entry per distinct function: the two fallbacks are twins, so the
+    # pass embeds one and serves the other
+    assert len(paths) == encoded
+    assert len(memo) - encoded == len(first) - stats["functions_reused"]
+    assert stats["functions_reused"] == 1
+    assert memo.nbytes == sum(array.nbytes for array, _ in memo.values())
+    assert any(cut for _, cut in paths.values())
+    assert min(len(rows) for rows, _ in paths.values()) == 1
 
     clones = _memo_items(config, 7)
     assert [fn.function_id for fn, _ in clones] != \
@@ -356,14 +369,68 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
     calls = []
     monkeypatch.setattr(embed, "encode_sequences",
                         lambda *args: calls.append(args))
-    for use_graph in (True, False):
+    stats = {}
+    served = embed_contract(clones, small_vocab, params, stats=stats,
+                            memo=memo)
+    assert stats["functions_reused"] == len(clones)
+    assert stats["paths_encoded"] == stats["paths_reused"] == 0
+    assert _bits(served) == _bits(alone[True])
+    stats = {}
+    served = embed_contract(clones, small_vocab, params, use_graph=False,
+                            stats=stats, memo=memo)
+    assert stats["paths_encoded"] == 0 and stats["paths_reused"] == encoded
+    assert _bits(served) == _bits(alone[False])
+    assert calls == [] and any(e.paths_truncated for e in served)
+
+
+def _swap_opcode(fn, block_id, position, mnemonic):
+    """``fn`` with one instruction's opcode replaced by ``mnemonic``."""
+    from dataclasses import replace
+    from deltascan.evm import OPCODES
+    opcode = next(op for op in OPCODES if op.mnemonic == mnemonic)
+    block = fn.blocks[block_id]
+    instructions = list(block.instructions)
+    instructions[position] = replace(instructions[position], opcode=opcode)
+    blocks = list(fn.blocks)
+    blocks[block_id] = replace(block, instructions=tuple(instructions))
+    return replace(fn, blocks=tuple(blocks))
+
+
+def test_memo_misses_a_function_one_opcode_edge_or_path_away(small_vocab,
+                                                             config):
+    """A function that differs from a memo entry in one opcode, one edge or
+    one path is embedded, not served, and gets the bits of embed_function;
+    one that differs in immediates only is served."""
+    from dataclasses import replace
+    fn, paths = _items(build_contract([
+        ("approve(address,uint256)", setter_body(1))]))[0]
+    assert len(paths) == 2 and len({(e.src, e.dst) for e in fn.edges}) > 1
+    params = init_params(config)
+    memo = params.memo.bind(small_vocab)
+    embed_contract([(fn, paths)], small_vocab, params, memo=memo)
+    clone, clone_paths = _items(build_contract([
+        ("approve(address,uint256)", setter_body(9))]))[0]
+    last = fn.blocks[-1].instr_count - 1
+    assert fn.blocks[-1].instructions[last].opcode.mnemonic != "RETURN"
+    swapped = _swap_opcode(fn, len(fn.blocks) - 1, last, "RETURN")
+    edge = max(fn.edges, key=lambda e: (e.src, e.dst))
+    for item, reused in [
+            ((clone, clone_paths), 1),
+            ((swapped, paths), 0),
+            ((replace(fn, edges=fn.edges - {edge}), paths), 0),
+            ((fn, paths[:1]), 0),
+            ((fn, paths[::-1]), 0)]:
         stats = {}
-        served = embed_contract(clones, small_vocab, params,
-                                use_graph=use_graph, stats=stats, memo=memo)
-        assert calls == [] and stats["paths_encoded"] == 0
-        assert stats["paths_reused"] == encoded
-        assert _bits(served) == _bits(alone[use_graph])
-        assert any(e.paths_truncated for e in served)
+        (served,) = embed_contract([item], small_vocab, params, stats=stats,
+                                   memo=memo)
+        assert stats["functions_reused"] == reused
+        assert _bits([served]) == _bits([embed_function(
+            *item, small_vocab, init_params(config), config)])
+    # each miss was added: a second pass serves all of them
+    stats = {}
+    embed_contract([(swapped, paths), (fn, paths[:1])], small_vocab, params,
+                   stats=stats, memo=memo)
+    assert stats["functions_reused"] == 2
 
 
 def test_memo_rows_are_read_only(small_vocab, config):
@@ -388,7 +455,7 @@ def test_memo_resets_on_another_vocabulary(small_vocab, config):
     twin = Vocabulary(small_vocab.vectors, small_vocab.word_dim,
                       small_vocab.training_corpus_hash)
     memo = params.memo.bind(twin)
-    assert len(memo) == 0 and memo.rows == 0
+    assert len(memo) == 0 and memo.nbytes == 0
     stats = {}
     embed_contract(items, twin, params, stats=stats, memo=memo)
     assert stats["paths_reused"] == 0
@@ -396,33 +463,47 @@ def test_memo_resets_on_another_vocabulary(small_vocab, config):
 
 def test_memo_evicts_least_recently_used_past_its_budget(small_vocab, config,
                                                          monkeypatch):
-    """The memo never holds more rows than its budget: the entries used
-    least recently go first, and the bits stay those of embed_function."""
-    monkeypatch.setattr(memo_module, "MEMO_ROWS", 64)
+    """The memo never holds more array bytes than its budget, paths and
+    functions counted alike: the entries used least recently go first,
+    whatever their kind, and the bits stay those of embed_function. A
+    served vector is read-only."""
+    budget = 64 * config.seq_dim * 4
+    monkeypatch.setattr(memo_module, "MEMO_BYTES", budget)
     params = init_params(config)
     memo = params.memo.bind(small_vocab)
     items = _memo_items(config, 1)
     truncated = 0
+    kinds = set()
     for fn, paths in items + items:
         served = embed_contract([(fn, paths)], small_vocab, params, memo=memo)
-        assert memo.rows == sum(len(r) for r, _ in memo.values()) <= 64
+        assert memo.nbytes == sum(a.nbytes for a, _ in memo.values()) <= budget
+        kinds.add((bool(_path_entries(memo)),
+                   len(memo) > len(_path_entries(memo))))
         assert _bits(served) == _bits([embed_function(
             fn, paths, small_vocab, init_params(config), config)])
+        with pytest.raises(ValueError):
+            served[0].block_vectors[0][0] = 1.0
         truncated += served[0].paths_truncated
+    assert (True, True) in kinds  # both kinds were held at once
     assert truncated == 2  # the m_max-long path, past the budget, both times
 
-    # least recently used first: a hit moves an entry to the back
+    # least recently used first, across kinds: a hit moves an entry to the
+    # back, and an eviction drops the oldest entry of either kind
     memo.clear()
-    a, b, c = (np.ones((24, config.seq_dim), np.float32) * i for i in range(3))
-    memo.add(("A",), a, False)
-    memo.add(("B",), b, False)
-    assert memo.hit(("A",))[0].tobytes() == a.tobytes()
-    memo.add(("C",), c, False)
-    assert list(memo) == [("A",), ("C",)] and memo.rows == 48
+    rows = np.ones((24, config.seq_dim), np.float32)
+    vectors = np.ones((24 * config.seq_dim // config.block_dim,
+                       config.block_dim), np.float32)
+    memo.add(("A",), rows, False)
+    memo.add((True, True, "f"), vectors, (0, 1))
+    assert memo.hit(("A",))[0].tobytes() == rows.tobytes()
+    memo.add(("C",), rows * 2, False)
+    assert list(memo) == [("A",), ("C",)] and memo.nbytes == 2 * rows.nbytes
+    memo.add((True, False, "g"), vectors, (1, 0))
+    assert list(memo) == [("C",), (True, False, "g")]
     # an entry past the whole budget is returned, not kept
-    rows, cut = memo.add(("D",), np.ones((65, config.seq_dim), np.float32),
-                         True)
-    assert len(rows) == 65 and cut and len(memo) == 0 and memo.rows == 0
+    big, cut = memo.add(("D",), np.ones((65, config.seq_dim), np.float32),
+                        True)
+    assert len(big) == 65 and cut and len(memo) == 0 and memo.nbytes == 0
 
 
 def test_embed_function_never_touches_the_params_memo(small_vocab, config):

@@ -326,3 +326,37 @@ def test_decide_similar_keeps_the_nearest_distance_per_selector():
     decide_similar(_query_fn([[0.0]], selector=b"\x01\x02\x03\x04"), index,
                    nearest=other)
     assert other == {}  # no stored function under that selector
+
+
+def _loop_distances(query_fn, index, key) -> tuple:
+    """The decision rule's block distances, one query block at a time."""
+    stored = np.stack([e.vector for e in index.function_entries(key)])
+    out = []
+    for vec in query_fn.block_vectors:
+        diff = stored - vec
+        out.append(float(np.sqrt((diff * diff).sum(axis=1).min())))
+    return tuple(out)
+
+
+def test_decide_similar_distances_are_those_of_a_per_block_loop():
+    """All query blocks compared at once give the bits of one block at a
+    time, and a function's stacked vectors follow inserts made into it
+    after a compare."""
+    vectors = _clustered(40, seed=3)
+    index = AnnIndex(DIM)
+    for i, vec in enumerate(vectors[:30]):
+        index.insert(IndexEntry(vec, _label(contract=f"C{i % 3}",
+                                            block_id=i // 3)))
+    query = FunctionEmbedding((b"hash", b"\x40\xc1\x0f\x19"),
+                              b"\x40\xc1\x0f\x19", tuple(vectors[25:37]))
+    for grow in range(2):
+        findings = decide_similar(query, index, threshold=float("inf"))
+        assert len(findings) == 3
+        for f in findings:
+            key = (f.matched_contract, f.matched_function, f.defect_class)
+            assert f.block_distances == _loop_distances(query, index, key)
+        # a new block of C0 equal to query block 8: its distance drops to 0
+        index.insert(IndexEntry(vectors[33], _label(contract="C0",
+                                                    block_id=10 + grow)))
+    (c0,) = [f for f in findings if f.matched_contract == "C0"]
+    assert c0.block_distances[8] == 0.0

@@ -307,9 +307,10 @@ def test_detect_refuses_a_config_other_than_its_params_own(mixed_index,
 
 def test_second_detect_serves_every_path_from_the_memo(mixed_index, tmp_path,
                                                        monkeypatch):
-    """cmd_detect calls that share params and vocabulary encode a path
+    """cmd_detect calls that share params and vocabulary embed a function
     once: a second call over the same contracts makes no encoder call and
-    reuses every path the first one encoded, with the same findings."""
+    serves every function the first one embedded, with the same findings
+    and nearest distances."""
     config, _ = mixed_index
     target = tmp_path / "twins.bin"
     target.write_bytes(build_contract([(MINT, vulnerable_mint_body(4)),
@@ -321,16 +322,42 @@ def test_second_detect_serves_every_path_from_the_memo(mixed_index, tmp_path,
                           params=params)
     assert first.counters["paths_encoded"] > 0
     assert first.counters["paths_reused"] == 0
+    assert first.counters["functions_reused"] == 0
     calls = []
-    monkeypatch.setattr(embed, "encode_sequences",
-                        lambda *args: calls.append(args))
+    for stage in ("encode_sequences", "fuse_block", "encode_graph",
+                  "pool_block"):
+        monkeypatch.setattr(embed, stage,
+                            lambda *args, stage=stage: calls.append(stage))
     (second,) = cmd_detect(config, [str(target)], index=index, vocab=vocab,
                            params=params)
     assert calls == []
     assert second.counters["paths_encoded"] == 0
-    assert second.counters["paths_reused"] == first.counters["paths_encoded"]
+    assert second.counters["paths_reused"] == 0
+    assert second.counters["functions_reused"] == \
+        second.counters["functions_embedded"] == 2
     assert _finding_bits(second.findings) == _finding_bits(first.findings)
     assert second.nearest == first.nearest
+
+
+def test_detect_takes_all_three_artifacts_or_none(mixed_index, tmp_path):
+    """Handed some of index, vocab and params but not all, cmd_detect
+    raises before any scan rather than fail on the missing one."""
+    config, _ = mixed_index
+    target = tmp_path / "mint.bin"
+    target.write_bytes(build_contract([(MINT, vulnerable_mint_body(4))]))
+    artifacts = {"index": pipeline.load_index(config.index_path),
+                 "vocab": pipeline.load_vocabulary(config.vocab_path),
+                 "params": pipeline.init_params(config.embedding)}
+    for given in ({"index"}, {"vocab"}, {"params"}, {"index", "vocab"},
+                  {"index", "params"}, {"vocab", "params"}):
+        with pytest.raises(ValueError, match="together"):
+            cmd_detect(config, [str(target)],
+                       **{name: artifacts[name] for name in given})
+    assert len(artifacts["params"].memo) == 0  # nothing was embedded
+    (loaded,) = cmd_detect(config, [str(target)])
+    (handed,) = cmd_detect(config, [str(target)], **artifacts)
+    assert loaded.error is None and loaded.findings
+    assert _finding_bits(handed.findings) == _finding_bits(loaded.findings)
 
 
 def test_embed_encodes_each_distinct_path_once_across_contracts(
@@ -635,6 +662,45 @@ def test_ablate_counts_monotone_in_threshold(tmp_path):
         assert counts == sorted(counts)
         assert counts[0] == 9 and counts[-1] == 12
     assert _tree(tmp_path) == before
+
+
+def test_ablate_one_params_object_gives_the_bits_of_fresh_ones(mixed_inputs,
+                                                               tmp_path):
+    """Memo entries are kept per variant: with one params object shared by
+    every variant, as cmd_ablate shares it, each variant finds what it
+    finds with fresh params, bit for bit, and the ablation table is that of
+    fresh params. The variants' distances differ, so serving one variant's
+    vectors to another would show."""
+    scan = tmp_path / "mixed.bin"
+    scan.write_bytes(_mixed_contract())
+    scan_files = [f for f in mixed_inputs if f.endswith(".bin")] + [str(scan)]
+    config = PipelineConfig(threshold=float("inf"))
+    plan = pipeline._plan_embed(config, mixed_inputs)
+    analyzed = [pipeline._analyze_one(Path(f).stem, read_bytecode_file(f),
+                                      config.max_paths) for f in scan_files]
+    shared = pipeline.init_params(config.embedding)
+    nearest, table = {}, {}
+    for name, use_sequence, use_graph in ABLATION_VARIANTS:
+        outputs = []
+        for params in (shared, pipeline.init_params(config.embedding)):
+            index, _ = pipeline._build_index(plan, params, use_sequence,
+                                             use_graph)
+            outputs.append([pipeline._detect_one(
+                a, config, index, plan.vocab, params, use_sequence,
+                use_graph) for a in analyzed])
+        with_shared, with_fresh = ([(_finding_bits(r.findings), r.nearest)
+                                    for r in results] for results in outputs)
+        assert with_shared == with_fresh
+        nearest[name] = [n for _, n in with_fresh]
+        distances = [f.max_block_distance for r in outputs[1]
+                     for f in r.findings]
+        for threshold in DEFAULT_THRESHOLDS:
+            table[(name, threshold)] = sum(d <= threshold for d in distances)
+    assert len({repr(n) for n in nearest.values()}) == len(ABLATION_VARIANTS)
+    assert {key[:2] for key in shared.memo if not isinstance(key[0], str)} \
+        == {(use_sequence, use_graph)
+            for _, use_sequence, use_graph in ABLATION_VARIANTS}
+    assert cmd_ablate(PipelineConfig(), mixed_inputs, scan_files) == table
 
 
 def test_ablate_rejects_an_unreadable_scan_input(tmp_path):
