@@ -26,6 +26,8 @@ class EmbeddingConfig:
         if min(self.word_dim, self.seq_dim, self.graph_dim, self.block_dim,
                self.m_max, self.pool_hidden) <= 0:
             raise ValueError("all dimensions must be positive")
+        if min(self.seq_heads, *self.gat_heads) <= 0:
+            raise ValueError("head counts must be positive")
         if self.seq_dim % self.seq_heads:
             raise ValueError("seq_dim must be divisible by seq_heads")
         for heads in self.gat_heads:

@@ -10,17 +10,17 @@ functions' instruction graphs. A path encodes to the same bits in any
 batch and graph attention is node-local, so every block vector is the same,
 bit for bit, as when its function is embedded alone (``embed_function``).
 
-Given a ``memo.EncoderMemo``, a pass first looks each function up by its
-key (``_function_key``: the variant, its blocks' tokens, edges and paths).
+A pass first looks each function up by its key (``_function_key``: the
+variant, its blocks' tokens, edges and paths) in a ``memo.EncoderMemo``.
 A function the memo holds is served from it whole: sequence, fusion, graph
-and pooling are skipped. Each other distinct function is embedded once,
-with the paths the memo holds served from it and the rest encoded, and
-the function and its new paths are added to it. Either way the bits are
-those a new embedding would give: the graph encoding of a union of only
-the missed functions is, for each of them, that of the whole contract.
-The pipeline passes the memo of its encoder params, so a scan of many
-clones embeds each distinct function once. ``embed_function`` passes
-none and embeds its function afresh.
+and pooling are skipped. Each other distinct function is embedded once
+and added to it, and its twins in the pass are served that entry. Either
+way the bits are those a new embedding would give: the graph encoding of
+a union of only the missed functions is, for each of them, that of the
+whole contract. The pipeline passes the memo of its encoder params, so a
+scan of many clones embeds each distinct function once. Given no memo, a
+pass makes a fresh one, so ``embed_function`` never reads the params'
+memo and embeds its function afresh.
 
 Every stage reads its settings from ``params.config``, the config the
 weights were drawn for, so a pass cannot mix weights with the settings of
@@ -139,16 +139,17 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     """Embed the functions of one contract in one pass.
 
     ``items`` is a list of ``(FunctionCfg, paths)``; the result holds one
-    FunctionEmbedding per item, in order. With a ``memo`` (bound to
-    ``vocab``), a function it holds is served from it, and so is every path
-    of the others that it holds; each distinct function the memo does not
-    hold is embedded once and added to it. When ``stats`` is given, it
-    receives ``functions_reused`` (items not embedded by this pass),
-    ``paths_encoded`` (distinct path token sequences of the embedded
-    functions sent to the encoder), ``paths_reused`` (those served from the
-    memo) and the milliseconds of the pass's stages, named in STAGES.
+    FunctionEmbedding per item, in order. A function ``memo`` (bound to
+    ``vocab``) holds is served from it; each other distinct function is
+    embedded once and added to it. Given no memo, the pass makes a fresh
+    one, so twins within the pass are still embedded once. When ``stats``
+    is given, it receives ``functions_reused`` (items not embedded by this
+    pass), ``paths_encoded`` (distinct path token sequences of the embedded
+    functions sent to the encoder) and the milliseconds of the pass's
+    stages, named in STAGES.
     """
     config = params.config
+    memo = EncoderMemo() if memo is None else memo
     for cfg, _ in items:
         if not cfg.blocks:
             raise EmptyFunction(f"function {cfg.function_id} has no blocks")
@@ -158,39 +159,28 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     # distinct one is embedded once, below
     tokens = [tuple(tuple(_block_tokens(block)) for block in cfg.blocks)
               for cfg, _ in items]
-    served = [None] * len(items)  # per item, (vectors, (truncated, fallback))
-    todo = range(len(items))      # the items to embed
-    if memo is not None:
-        function_keys = [_function_key(cfg, paths, t, use_sequence, use_graph)
-                         for (cfg, paths), t in zip(items, tokens)]
-        first_of = {}  # function key -> the item embedded for it
-        for i, key in enumerate(function_keys):
-            served[i] = memo.hit(key)
-            if served[i] is None:
-                first_of.setdefault(key, i)
-        todo = list(first_of.values())
-    missed = [items[i] for i in todo]
+    keys = [_function_key(cfg, paths, t, use_sequence, use_graph)
+            for (cfg, paths), t in zip(items, tokens)]
+    # function key -> (vectors, (truncated, fallback)), None until embedded
+    served = {key: memo.hit(key) for key in keys}
+    missed = {}  # function key -> (cfg, paths, tokens) of its first item
+    for key, (cfg, paths), t in zip(keys, items, tokens):
+        if served[key] is None:
+            missed.setdefault(key, (cfg, paths, t))
 
-    # sequence: every distinct path of the functions to embed that the memo
-    # does not hold, encoded in one call
-    keys = [None] * len(missed)  # per function, its paths' token tuples
+    # sequence: every distinct path of the functions to embed, encoded in
+    # one call
+    path_keys = [None] * len(missed)  # per function, its paths' tokens
     if use_sequence:
-        keys = [[tuple(chain.from_iterable(tokens[i][bid]
-                                           for bid in path.blocks))
-                 for path in items[i][1]] for i in todo]
-    encoded = dict.fromkeys(k for function in keys if function
+        path_keys = [[tuple(chain.from_iterable(t[bid] for bid in path.blocks))
+                      for path in paths] for _, paths, t in missed.values()]
+    encoded = dict.fromkeys(k for function in path_keys if function
                             for k in function)  # token tuple -> (rows, cut)
-    misses = list(encoded)
-    if memo is not None:
-        for key in misses:
-            encoded[key] = memo.hit(key)
-        misses = [key for key in misses if encoded[key] is None]
-    if misses:
-        batch = [embed_path(list(k), vocab, config) for k in misses]
+    if encoded:
+        batch = [embed_path(list(k), vocab, config) for k in encoded]
         out = encode_sequences(batch, params)
-        for key, pe, rows in zip(misses, batch, out):
-            encoded[key] = (rows, pe.truncated) if memo is None \
-                else memo.add(key, rows, pe.truncated)
+        for k, pe, rows in zip(encoded, batch, out):
+            encoded[k] = (rows, pe.truncated)
     marks.append(time.perf_counter())
 
     # fusion: each function's blocks from that function's own paths
@@ -198,13 +188,15 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
                               None if function is None
                               else [encoded[k] for k in function],
                               vocab, params)
-               for (cfg, paths), function in zip(missed, keys)]
+               for (cfg, paths, _), function in zip(missed.values(),
+                                                    path_keys)]
     marks.append(time.perf_counter())
 
     # graph: one encoding of the union of the functions' instruction graphs
     if use_graph and missed:
         union = union_graphs([build_instruction_graph(cfg, fused) for
-                              (cfg, _), (fused, *_) in zip(missed, fusions)])
+                              (cfg, *_), (fused, *_) in zip(missed.values(),
+                                                            fusions)])
         states = encode_graph(union, params)
         per_block = [states[first:first + count]
                      for first, count in union.block_spans]
@@ -224,24 +216,18 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite block vector")
         vectors.append(z)
-    for i, (cfg, _), (_, _, truncated, fallback) in zip(todo, missed,
-                                                        fusions):
+    for (key, (cfg, *_)), (_, _, truncated, fallback) in zip(missed.items(),
+                                                            fusions):
         own, vectors = vectors[:len(cfg.blocks)], vectors[len(cfg.blocks):]
-        served[i] = (own, (truncated, fallback)) if memo is None \
-            else memo.add(function_keys[i], np.stack(own),
-                          (truncated, fallback))
-    if memo is not None:  # twins of a function embedded in this pass
-        served = [entry or served[first_of[key]]
-                  for entry, key in zip(served, function_keys)]
+        served[key] = memo.add(key, np.stack(own), (truncated, fallback))
     embeddings = [FunctionEmbedding(cfg.function_id, cfg.selector,
-                                    tuple(own), *counts)
-                  for (cfg, _), (own, counts) in zip(items, served)]
+                                    tuple(served[key][0]), *served[key][1])
+                  for (cfg, _), key in zip(items, keys)]
     marks.append(time.perf_counter())
 
     if stats is not None:
-        stats["functions_reused"] = len(items) - len(todo)
-        stats["paths_encoded"] = len(misses)
-        stats["paths_reused"] = len(encoded) - len(misses)
+        stats["functions_reused"] = len(items) - len(missed)
+        stats["paths_encoded"] = len(encoded)
         for name, begin, end in zip(STAGES, marks, marks[1:]):
             stats[name] = (end - begin) * 1e3
     return embeddings

@@ -12,9 +12,9 @@ dimension) are drawn unconditionally so every variant shares one params
 object.
 
 Every stage reads its settings from ``config``, the one the weights were
-drawn for. Each params object also carries the memo of the path
-encodings and function block vectors made with it (``memo``, see
-``memo.EncoderMemo``): it lives and dies with them.
+drawn for. Each params object also carries the memo of the function
+block vectors made with it (``memo``, see ``memo.EncoderMemo``): it lives
+and dies with them.
 """
 
 from __future__ import annotations

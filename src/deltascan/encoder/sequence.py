@@ -19,9 +19,9 @@ that S * L**2 <= m_max**2, so no scores array is larger than that of one
 m_max = 512 token path, (8, 512, 512) float32, 8 MB. Each segment's slice
 of a group is the same BLAS product a lone segment would get, so a path's
 encoding depends on its own rows only, bit for bit: it is the same in any
-batch. The path entries of the encoder memo (``memo.EncoderMemo``) rest
-on this: they serve an encoding made in one batch to every later pass
-that holds the same path.
+batch. The function entries of the encoder memo (``memo.EncoderMemo``)
+rest on this: a function's block vectors, made from its paths in one
+batch, are served to every later pass that holds the same function.
 """
 
 from __future__ import annotations

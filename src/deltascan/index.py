@@ -5,6 +5,10 @@ The store is exact: it keeps every block vector, grouped by function, and
 buckets the functions by selector. The decision rule compares a query
 function with every stored function under its selector, so it never misses
 one within the threshold. Distances are Euclidean.
+
+``AnnIndex`` keeps its name although nothing approximate is left: the
+benchmark's tracer (``bench/spans.py``) hooks ``index.AnnIndex`` by name,
+so the rename waits for a change to the benchmark.
 """
 
 from __future__ import annotations

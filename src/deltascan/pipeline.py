@@ -297,8 +297,8 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     the selector gate, and decide each against the index, built under the
     same encoder variant. A function that an earlier call with the same
     ``params``, ``vocab`` and variant embedded, or its clone, is served
-    whole from the params' memo, and so are the paths such calls encoded;
-    the counters say how many of each."""
+    whole from the params' memo, and so is a twin of a function of the
+    same contract; the counters say how many."""
     result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
     functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
@@ -322,7 +322,6 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     result.counters = {"paths_truncated": sum(
                            e.paths_truncated for e in embeddings),
                        "paths_encoded": stats["paths_encoded"],
-                       "paths_reused": stats["paths_reused"],
                        "paths_capped": a.hit_cap,
                        "fallback_blocks": sum(
                            e.fallback_blocks for e in embeddings),

@@ -278,8 +278,10 @@ def test_contract_pass_rejects_a_function_without_blocks(small_vocab, params,
 def test_contract_pass_encodes_each_distinct_path_once(small_vocab, params,
                                                        config, monkeypatch):
     """A contract pass makes one encode_sequences call, holding each
-    distinct path of its functions once, and one encode_graph call over all
-    their instructions; ``stats`` counts the paths and times the stages."""
+    distinct path of its functions once, and one encode_graph call over the
+    instructions of its distinct functions: a twin is served the entry of
+    the first, even without a memo. ``stats`` counts the functions and
+    paths and times the stages."""
     items = _items(build_contract([
         ("approve(address,uint256)", setter_body(1)),
         ("setConfig(uint256)", setter_body(2)),
@@ -297,17 +299,21 @@ def test_contract_pass_encodes_each_distinct_path_once(small_vocab, params,
     monkeypatch.setattr(embed, "encode_sequences", count_paths)
     monkeypatch.setattr(embed, "encode_graph", count_nodes)
     stats = {}
-    embed_contract(items, small_vocab, params, stats=stats)
+    together = embed_contract(items, small_vocab, params, stats=stats)
     paths = [tuple(ins.opcode.mnemonic for bid in p.blocks
                    for ins in fn.blocks[bid].instructions)
              for fn, paths in items for p in paths]
     assert batches == [stats["paths_encoded"]] == [len(set(paths))]
     assert len(set(paths)) < len(paths)  # the twin setter adds no path
-    assert nodes == [sum(b.instr_count for fn, _ in items for b in fn.blocks)]
-    assert set(stats) == {"functions_reused", "paths_encoded",
-                          "paths_reused", *embed.STAGES}
-    assert stats["paths_reused"] == stats["functions_reused"] == 0  # no memo
+    distinct = {tuple(tuple(ins.opcode.mnemonic for ins in b.instructions)
+                      for b in fn.blocks): fn for fn, _ in items}
+    assert stats["functions_reused"] == len(items) - len(distinct) == 1
+    assert nodes == [sum(b.instr_count for fn in distinct.values()
+                         for b in fn.blocks)]
+    assert set(stats) == {"functions_reused", "paths_encoded", *embed.STAGES}
     assert all(stats[name] >= 0 for name in embed.STAGES)
+    assert _bits(together) == _bits([embed_function(
+        fn, paths, small_vocab, params, config) for fn, paths in items])
 
 
 def _memo_items(config, slot):
@@ -328,35 +334,26 @@ def _bits(embeddings) -> list:
              [v.tobytes() for v in e.block_vectors]) for e in embeddings]
 
 
-def _path_entries(memo) -> dict:
-    """The memo's path entries: their keys are token tuples, while a
-    function key starts with the variant's flags."""
-    return {k: v for k, v in memo.items() if isinstance(k[0], str)}
-
-
 def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
                                                    monkeypatch):
     """Clones of the functions a pass over another contract embedded (one
     with a one-token path, one with a path cut at m_max) are served from
     the memo whole, with the bits embed_function gives each alone: the
     second pass encodes nothing. Under another variant the functions are
-    embedded again, from the paths the memo holds."""
+    embedded again, their paths encoded again."""
     params = init_params(config)
     memo = params.memo.bind(small_vocab)
     first = _memo_items(config, 1)
     stats = {}
     embed_contract(first, small_vocab, params, stats=stats, memo=memo)
-    assert stats["paths_reused"] == 0
     encoded = stats["paths_encoded"]
-    paths = _path_entries(memo)
     # one entry per distinct function: the two fallbacks are twins, so the
     # pass embeds one and serves the other
-    assert len(paths) == encoded
-    assert len(memo) - encoded == len(first) - stats["functions_reused"]
+    assert len(memo) == len(first) - stats["functions_reused"]
     assert stats["functions_reused"] == 1
     assert memo.nbytes == sum(array.nbytes for array, _ in memo.values())
-    assert any(cut for _, cut in paths.values())
-    assert min(len(rows) for rows, _ in paths.values()) == 1
+    assert any(truncated for _, (truncated, _) in memo.values())
+    assert min(len(vectors) for vectors, _ in memo.values()) == 1
 
     clones = _memo_items(config, 7)
     assert [fn.function_id for fn, _ in clones] != \
@@ -367,20 +364,25 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
                          for fn, paths in clones]
              for use_graph in (True, False)}
     calls = []
-    monkeypatch.setattr(embed, "encode_sequences",
-                        lambda *args: calls.append(args))
+    encode_sequences = embed.encode_sequences
+
+    def count(batch, *args):
+        calls.append(len(batch))
+        return encode_sequences(batch, *args)
+    monkeypatch.setattr(embed, "encode_sequences", count)
     stats = {}
     served = embed_contract(clones, small_vocab, params, stats=stats,
                             memo=memo)
     assert stats["functions_reused"] == len(clones)
-    assert stats["paths_encoded"] == stats["paths_reused"] == 0
+    assert stats["paths_encoded"] == 0 and calls == []
     assert _bits(served) == _bits(alone[True])
     stats = {}
     served = embed_contract(clones, small_vocab, params, use_graph=False,
                             stats=stats, memo=memo)
-    assert stats["paths_encoded"] == 0 and stats["paths_reused"] == encoded
+    assert stats["functions_reused"] == 1  # the twin fallback only
+    assert calls == [stats["paths_encoded"]] == [encoded]
     assert _bits(served) == _bits(alone[False])
-    assert calls == [] and any(e.paths_truncated for e in served)
+    assert any(e.paths_truncated for e in served)
 
 
 def _swap_opcode(fn, block_id, position, mnemonic):
@@ -458,52 +460,54 @@ def test_memo_resets_on_another_vocabulary(small_vocab, config):
     assert len(memo) == 0 and memo.nbytes == 0
     stats = {}
     embed_contract(items, twin, params, stats=stats, memo=memo)
-    assert stats["paths_reused"] == 0
+    assert stats["functions_reused"] == 1  # the twin fallback only
+    assert len(memo) == len(items) - 1
 
 
 def test_memo_evicts_least_recently_used_past_its_budget(small_vocab, config,
                                                          monkeypatch):
-    """The memo never holds more array bytes than its budget, paths and
-    functions counted alike: the entries used least recently go first,
-    whatever their kind, and the bits stay those of embed_function. A
-    served vector is read-only."""
-    budget = 64 * config.seq_dim * 4
+    """The memo never holds more block vector bytes than its budget: the
+    entries used least recently go first, and the bits stay those of
+    embed_function. A served vector is read-only."""
+    budget = 3 * config.block_dim * 4  # three block vectors
     monkeypatch.setattr(memo_module, "MEMO_BYTES", budget)
     params = init_params(config)
     memo = params.memo.bind(small_vocab)
     items = _memo_items(config, 1)
-    truncated = 0
-    kinds = set()
+    assert [len(fn.blocks) for fn, _ in items] == [3, 1, 1, 1, 1, 1]
+    truncated = reused = 0
     for fn, paths in items + items:
-        served = embed_contract([(fn, paths)], small_vocab, params, memo=memo)
+        stats = {}
+        served = embed_contract([(fn, paths)], small_vocab, params,
+                                stats=stats, memo=memo)
         assert memo.nbytes == sum(a.nbytes for a, _ in memo.values()) <= budget
-        kinds.add((bool(_path_entries(memo)),
-                   len(memo) > len(_path_entries(memo))))
         assert _bits(served) == _bits([embed_function(
             fn, paths, small_vocab, init_params(config), config)])
         with pytest.raises(ValueError):
             served[0].block_vectors[0][0] = 1.0
         truncated += served[0].paths_truncated
-    assert (True, True) in kinds  # both kinds were held at once
-    assert truncated == 2  # the m_max-long path, past the budget, both times
+        reused += stats["functions_reused"]
+    assert truncated == 2  # the m_max-long path, both times
+    # the two fallbacks are twins, three functions apart: the second is
+    # served in each round, every other function is evicted before it
+    # comes round again
+    assert len(memo) == 3 and reused == 2
 
-    # least recently used first, across kinds: a hit moves an entry to the
-    # back, and an eviction drops the oldest entry of either kind
+    # least recently used first: a hit moves an entry to the back, and an
+    # eviction drops the oldest entry
     memo.clear()
-    rows = np.ones((24, config.seq_dim), np.float32)
-    vectors = np.ones((24 * config.seq_dim // config.block_dim,
-                       config.block_dim), np.float32)
-    memo.add(("A",), rows, False)
-    memo.add((True, True, "f"), vectors, (0, 1))
-    assert memo.hit(("A",))[0].tobytes() == rows.tobytes()
-    memo.add(("C",), rows * 2, False)
-    assert list(memo) == [("A",), ("C",)] and memo.nbytes == 2 * rows.nbytes
-    memo.add((True, False, "g"), vectors, (1, 0))
-    assert list(memo) == [("C",), (True, False, "g")]
+    vectors = np.ones((1, config.block_dim), np.float32)
+    for i, key in enumerate("fgh"):
+        memo.add((True, True, key), vectors * i, (0, i))
+    assert memo.hit((True, True, "f"))[0].tobytes() == (vectors * 0).tobytes()
+    memo.add((True, False, "i"), vectors * 3, (1, 0))
+    assert [key[2] for key in memo] == ["h", "f", "i"]
+    assert memo.nbytes == 3 * vectors.nbytes
     # an entry past the whole budget is returned, not kept
-    big, cut = memo.add(("D",), np.ones((65, config.seq_dim), np.float32),
-                        True)
-    assert len(big) == 65 and cut and len(memo) == 0 and memo.nbytes == 0
+    big, counts = memo.add((False, True, "j"),
+                           np.ones((4, config.block_dim), np.float32), (1, 1))
+    assert len(big) == 4 and counts == (1, 1)
+    assert len(memo) == 0 and memo.nbytes == 0
 
 
 def test_embed_function_never_touches_the_params_memo(small_vocab, config):

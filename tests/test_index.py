@@ -6,6 +6,8 @@ import pytest
 
 from deltascan.detectors import DefectClass
 from deltascan.encoder.embed import FunctionEmbedding
+from deltascan.encoder.vocab import (Vocabulary, load_vocabulary,
+                                     save_vocabulary)
 from deltascan.errors import CorruptFile, DimensionMismatch
 from deltascan.index import (AnnIndex, EntryLabel, IndexEntry, decide_similar,
                              load_index, save_index)
@@ -178,6 +180,32 @@ def test_corrupt_files_rejected(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(CorruptFile):
         load_index(trailing)
+
+
+def test_every_bit_flip_and_truncation_is_rejected(tmp_path):
+    """Both loaders reject a small file with any one bit flipped, or cut
+    at any length."""
+    index = AnnIndex(8)
+    index.insert(IndexEntry(np.arange(8, dtype=np.float32), _label()))
+    vocab = Vocabulary({"ADD": np.full(4, 0.5, np.float32),
+                        "PUSH1": np.arange(4, dtype=np.float32)}, 4,
+                       bytes(range(32)))
+    for save, load, obj, name in [(save_index, load_index, index, "a.idx"),
+                                  (save_vocabulary, load_vocabulary, vocab,
+                                   "a.vocab")]:
+        path = tmp_path / name
+        save(obj, path)
+        raw = path.read_bytes()
+        load(path)
+        damaged = [raw[:length] for length in range(len(raw))]
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << bit % 8
+            damaged.append(bytes(flipped))
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises(CorruptFile):
+                load(path)
 
 
 def _with_contract_name(path, name: bytes):

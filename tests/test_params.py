@@ -97,3 +97,7 @@ def test_config_validation():
         EmbeddingConfig(seq_dim=97)  # not divisible by 8 heads
     with pytest.raises(ValueError):
         EmbeddingConfig(word_dim=0)
+    for heads in ({"seq_heads": 0}, {"seq_heads": -8},
+                  {"gat_heads": (8, 0, 1)}, {"gat_heads": (8, 8, -1)}):
+        with pytest.raises(ValueError, match="head counts must be positive"):
+            EmbeddingConfig(**heads)
