@@ -9,7 +9,7 @@ exactly against every such function in the index.
 
 from .cfg import (BasicBlock, ContractAnalysis, Edge, ExecutionPath,
                   FunctionCfg, PathEnumeration, SelectorMap, analyze_contract,
-                  enumerate_paths, extract_paths, partition_blocks,
+                  enumerate_paths, partition_blocks,
                   recover_functions, resolve_edges)
 from .detectors import (DefectClass, DefectRecord, MappedDefect,
                         detect_bypass_reentrancy, map_report,

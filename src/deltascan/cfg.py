@@ -1,6 +1,13 @@
 """Basic-block partitioning, control-flow edges, dispatcher-based function
 recovery, and loop-avoiding path enumeration over disassembled bytecode.
 
+Each stage walks its input once. Blocks are split in one pass over the
+instructions; the contract's edges are read once into a successor map,
+which both the dispatcher walk and the carving of each function use. A
+function carries its successors as one sorted tuple of distinct local
+block ids per block, and everything downstream (paths, the instruction
+graph, the encoder memo key) reads those lists.
+
 Dynamic jumps (no PUSH-constant target) are over-approximated with edges to
 every JUMPDEST block; paths are enumerated depth-first with successors in
 ascending block-id order so results are deterministic.
@@ -8,9 +15,9 @@ ascending block-id order so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .evm import Instruction, Program
+from .evm import OPCODES, Program
 
 __all__ = [
     "BasicBlock",
@@ -22,7 +29,6 @@ __all__ = [
     "partition_blocks",
     "resolve_edges",
     "recover_functions",
-    "extract_paths",
     "enumerate_paths",
     "analyze_contract",
     "ContractAnalysis",
@@ -57,7 +63,7 @@ class FunctionCfg:
     selector: bytes | None
     entry_block: int
     blocks: tuple  # BasicBlock with function-local dense ids
-    edges: frozenset
+    successors: tuple  # per block, its distinct local successors, ascending
 
     @property
     def avg_block_len(self) -> float:
@@ -85,44 +91,35 @@ class PathEnumeration:
     hit_cap: bool
 
 
-def _terminator_kind(last: Instruction) -> str:
-    op = last.opcode
-    if op.is_jump:
-        return "jump"
-    if op.is_jumpi:
-        return "jumpi"
-    if op.byte_value == 0x00:
-        return "stop"
-    if op.byte_value == 0xF3:
-        return "return"
-    if op.byte_value == 0xFD:
-        return "revert"
-    if op.byte_value == 0xFF:
-        return "selfdestruct"
-    if op.mnemonic == "INVALID":
-        return "invalid"
-    return "fallthrough"
+# the terminator kind of a block, by the opcode byte of its last instruction
+_ENDS = {0x00: "stop", 0x56: "jump", 0x57: "jumpi", 0xF3: "return",
+         0xFD: "revert", 0xFF: "selfdestruct"}
+_TERMINATOR_KINDS = tuple(
+    _ENDS.get(op.byte_value,
+              "invalid" if op.mnemonic == "INVALID" else "fallthrough")
+    for op in OPCODES)
 
 
 def partition_blocks(program: Program) -> list:
-    """Split instructions into basic blocks. Leaders are offset 0, every
-    JUMPDEST, and every instruction following a (conditional) terminator."""
+    """Split instructions into basic blocks in one pass. A block ends after
+    a (conditional) terminator and before a JUMPDEST."""
     instructions = program.instructions
-    if not instructions:
-        return []
-    leaders = {0}
-    for idx, ins in enumerate(instructions[:-1]):
-        if ins.opcode.is_terminator or ins.opcode.is_jumpi:
-            leaders.add(idx + 1)
-    for idx, ins in enumerate(instructions):
-        if ins.opcode.byte_value == 0x5B:  # JUMPDEST
-            leaders.add(idx)
-    bounds = sorted(leaders) + [len(instructions)]
     blocks = []
-    for block_id, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        chunk = instructions[lo:hi]
-        blocks.append(BasicBlock(block_id, chunk[0].offset, tuple(chunk),
-                                 _terminator_kind(chunk[-1])))
+    start = 0
+    for idx, ins in enumerate(instructions):
+        byte = ins.opcode.byte_value
+        if byte == 0x5B and idx > start:  # JUMPDEST
+            blocks.append(BasicBlock(len(blocks), instructions[start].offset,
+                                     instructions[start:idx], "fallthrough"))
+            start = idx
+        kind = _TERMINATOR_KINDS[byte]
+        if kind != "fallthrough":
+            blocks.append(BasicBlock(len(blocks), instructions[start].offset,
+                                     instructions[start:idx + 1], kind))
+            start = idx + 1
+    if start < len(instructions):
+        blocks.append(BasicBlock(len(blocks), instructions[start].offset,
+                                 instructions[start:], "fallthrough"))
     return blocks
 
 
@@ -156,21 +153,15 @@ def resolve_edges(blocks: list) -> set:
     return edges
 
 
-def _successors(edges) -> dict:
-    succ = {}
-    for e in edges:
-        succ.setdefault(e.src, set()).add(e.dst)
-    return succ
-
-
 def _find_selector_patterns(block: BasicBlock) -> list:
-    """Match {PUSH4 sel; EQ; PUSH dest; JUMPI} within a dispatcher block,
-    tolerating stack-shuffle opcodes between the stages."""
-    shuffle = {"DUP", "SWAP"}
+    """Match {PUSH1-4 sel; EQ; PUSH dest; JUMPI} within a dispatcher block,
+    tolerating stack-shuffle opcodes between the stages. solc pushes a
+    selector at its minimal width, so a shorter one is left-padded to 4
+    bytes."""
     matches = []
     ins = block.instructions
     for i, first in enumerate(ins):
-        if first.opcode.byte_value != 0x63 or first.truncated:  # PUSH4
+        if not 0x60 <= first.opcode.byte_value <= 0x63 or first.truncated:
             continue
         j = i + 1
         while j < len(ins) and ins[j].opcode.mnemonic.startswith(("DUP", "SWAP")):
@@ -182,7 +173,7 @@ def _find_selector_patterns(block: BasicBlock) -> list:
             continue
         if k + 1 >= len(ins) or not ins[k + 1].opcode.is_jumpi:
             continue
-        matches.append((first.immediate, ins[k].push_value))
+        matches.append((first.immediate.rjust(4, b"\0"), ins[k].push_value))
     return matches
 
 
@@ -193,38 +184,42 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
     if not blocks:
         return SelectorMap({}, None), []
     by_offset = {b.start_offset: b.block_id for b in blocks}
-    succ = _successors(edges)
+    succ, static = {}, {}  # block id -> its successors; -> {kind: static dst}
+    for e in edges:
+        succ.setdefault(e.src, set()).add(e.dst)
+        if not e.dynamic:
+            static.setdefault(e.src, {})[e.kind] = e.dst
+    succ = {src: sorted(dsts) for src, dsts in succ.items()}
 
-    # dispatcher spine: the chain of selector-miss continuations from block 0.
-    # A guard (a JUMPI without a selector check whose miss reverts, such as
-    # solc's CALLVALUE check) continues at its jump target instead.
-    spine, seen = [], set()
+    # dispatcher spine: the chain of selector-miss continuations from block 0,
+    # with each spine block's selector checks. A guard (a JUMPI without a
+    # selector check whose miss reverts, such as solc's CALLVALUE check)
+    # continues at its jump target instead.
+    spine = {}  # spine block id -> its selector patterns, in spine order
     cursor = 0
-    while cursor is not None and cursor not in seen:
-        seen.add(cursor)
-        spine.append(cursor)
-        out = {e.kind: e for e in edges if e.src == cursor and not e.dynamic}
-        nxt = out.get("jumpi_false") or out.get("fallthrough")
+    while cursor is not None and cursor not in spine:
+        patterns = spine[cursor] = _find_selector_patterns(blocks[cursor])
+        out = static.get(cursor, {})
+        nxt = out.get("jumpi_false", out.get("fallthrough"))
         taken = out.get("jumpi_true")
         if (nxt is not None and taken is not None
-                and blocks[nxt.dst].terminator_kind == "revert"
-                and not _find_selector_patterns(blocks[cursor])):
+                and blocks[nxt].terminator_kind == "revert" and not patterns):
             nxt = taken
-        cursor = nxt.dst if nxt is not None else None
+        cursor = nxt
 
     selector_entries: dict = {}
-    for bid in spine:
-        for selector, dest_offset in _find_selector_patterns(blocks[bid]):
+    for patterns in spine.values():
+        for selector, dest_offset in patterns:
             dst = by_offset.get(dest_offset)
             if dst is not None and selector not in selector_entries:
                 selector_entries[selector] = dst
 
-    dispatcher_blocks = {bid for bid in spine
-                         if _find_selector_patterns(blocks[bid])} | {0}
+    dispatcher_blocks = {bid for bid, patterns in spine.items()
+                         if patterns} | {0}
     entry_blocks = set(selector_entries.values())
 
     if not selector_entries:
-        cfg = _carve_function(blocks, edges, succ, entry=0, excluded=set(),
+        cfg = _carve_function(blocks, succ, entry=0, excluded=set(),
                               selector=None, code_hash=code_hash)
         return SelectorMap({}, None), [cfg]
 
@@ -239,38 +234,40 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
     for selector in sorted(selector_entries):
         entry = selector_entries[selector]
         excluded = dispatcher_blocks | (entry_blocks - {entry})
-        functions.append(_carve_function(blocks, edges, succ, entry, excluded,
+        functions.append(_carve_function(blocks, succ, entry, excluded,
                                          selector, code_hash))
     if fallback_entry is not None:
         excluded = dispatcher_blocks | entry_blocks
-        functions.append(_carve_function(blocks, edges, succ, fallback_entry,
+        functions.append(_carve_function(blocks, succ, fallback_entry,
                                          excluded, None, code_hash))
     return SelectorMap(dict(selector_entries), fallback_entry), functions
 
 
-def _carve_function(blocks, edges, succ, entry, excluded, selector, code_hash):
+def _carve_function(blocks, succ, entry, excluded, selector, code_hash):
     """Reachable subgraph from ``entry``, truncated at excluded blocks,
-    re-indexed with function-local dense block ids."""
+    re-indexed with function-local dense block ids. ``succ`` maps a block
+    id to its ascending successor ids."""
     reachable = []
     stack, seen = [entry], {entry}
     while stack:
         bid = stack.pop()
         reachable.append(bid)
-        for dst in sorted(succ.get(bid, ()), reverse=True):
+        for dst in reversed(succ.get(bid, ())):
             if dst not in seen and dst not in excluded:
                 seen.add(dst)
                 stack.append(dst)
-    reachable.sort(key=lambda bid: blocks[bid].start_offset)
+    # block ids ascend with start offsets, so local ids keep their order
+    reachable.sort()
     remap = {bid: new for new, bid in enumerate(reachable)}
     local_blocks = tuple(
         BasicBlock(remap[bid], blocks[bid].start_offset,
                    blocks[bid].instructions, blocks[bid].terminator_kind)
         for bid in reachable)
-    local_edges = frozenset(
-        Edge(remap[e.src], remap[e.dst], e.kind, e.dynamic)
-        for e in edges if e.src in remap and e.dst in remap)
+    successors = tuple(tuple(remap[dst] for dst in succ.get(bid, ())
+                             if dst in remap)
+                       for bid in reachable)
     fid = (code_hash, selector if selector is not None else blocks[entry].start_offset)
-    return FunctionCfg(fid, selector, remap[entry], local_blocks, local_edges)
+    return FunctionCfg(fid, selector, remap[entry], local_blocks, successors)
 
 
 def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
@@ -279,7 +276,7 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
         raise ValueError("max_paths must be >= 1")
     if not cfg.blocks:
         return PathEnumeration((), False)
-    succ = {src: sorted(dsts) for src, dsts in _successors(cfg.edges).items()}
+    succ = cfg.successors
 
     paths = []
     hit_cap = False
@@ -303,7 +300,7 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
         if cfg.blocks[bid].terminator_kind in HALTING_KINDS:
             emit(path, "natural_exit")
             return None
-        next_blocks = [d for d in succ.get(bid, ()) if d not in on_path]
+        next_blocks = [d for d in succ[bid] if d not in on_path]
         if not next_blocks:
             emit(path, "all_successors_visited")
             return None
@@ -329,10 +326,6 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
     if len(paths) >= max_paths and frames:
         hit_cap = True
     return PathEnumeration(tuple(paths), hit_cap)
-
-
-def extract_paths(cfg: FunctionCfg, max_paths: int = 64) -> list:
-    return list(enumerate_paths(cfg, max_paths).paths)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,16 @@ batch and graph attention is node-local, so every block vector is the same,
 bit for bit, as when its function is embedded alone (``embed_function``).
 
 A pass first looks each function up by its key (``_function_key``: the
-variant, its blocks' tokens, edges and paths) in a ``memo.EncoderMemo``.
-A function the memo holds is served from it whole: sequence, fusion, graph
-and pooling are skipped. Each other distinct function is embedded once
-and added to it, and its twins in the pass are served that entry. Either
-way the bits are those a new embedding would give: the graph encoding of
-a union of only the missed functions is, for each of them, that of the
-whole contract. The pipeline passes the memo of its encoder params, so a
-scan of many clones embeds each distinct function once. Given no memo, a
-pass makes a fresh one, so ``embed_function`` never reads the params'
-memo and embeds its function afresh.
+variant, its blocks' tokens, successor lists and paths) in a
+``memo.EncoderMemo``. A function the memo holds is served from it whole:
+sequence, fusion, graph and pooling are skipped. Each other distinct
+function is embedded once and added to it, and its twins in the pass are
+served that entry. Either way the bits are those a new embedding would
+give: the graph encoding of a union of only the missed functions is, for
+each of them, that of the whole contract. The pipeline passes the memo of
+its encoder params, so a scan of many clones embeds each distinct function
+once. Given no memo, a pass makes a fresh one, so ``embed_function`` never
+reads the params' memo and embeds its function afresh.
 
 Every stage reads its settings from ``params.config``, the config the
 weights were drawn for, so a pass cannot mix weights with the settings of
@@ -122,12 +122,11 @@ def _function_key(cfg: FunctionCfg, paths, tokens: tuple, use_sequence: bool,
                   use_graph: bool) -> tuple:
     """Everything a function's block vectors and counts depend on, under
     one params object and vocabulary: the variant, each block's tokens in
-    block order, the distinct block pairs of its edges (all that
-    ``build_instruction_graph`` reads of them), and each path's blocks,
-    which fix its start positions and tokens, the fallback blocks and the
-    path cap. Ids, selectors and immediates are not in it."""
-    return (use_sequence, use_graph, tokens,
-            tuple(sorted({(edge.src, edge.dst) for edge in cfg.edges})),
+    block order, its successor lists (the CFG edges
+    ``build_instruction_graph`` reads), and each path's blocks, which fix
+    its start positions and tokens, the fallback blocks and the path cap.
+    Ids, selectors and immediates are not in it."""
+    return (use_sequence, use_graph, tokens, cfg.successors,
             tuple(path.blocks for path in paths))
 
 

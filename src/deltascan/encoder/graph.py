@@ -35,7 +35,8 @@ class InstructionGraph:
 
 def build_instruction_graph(cfg: FunctionCfg, fused: dict) -> InstructionGraph:
     """Assemble node features from per-block fused matrices, in
-    (block_id, intra-block index) order."""
+    (block_id, intra-block index) order. CFG edges follow the function's
+    successor lists: by source block, then by destination block."""
     spans = []
     rows = []
     cursor = 0
@@ -54,15 +55,9 @@ def build_instruction_graph(cfg: FunctionCfg, fused: dict) -> InstructionGraph:
     for first, count in spans:
         for t in range(count - 1):
             edges_seq.append((first + t, first + t + 1))
-    edges_cfg = []
-    seen = set()
-    for edge in sorted(cfg.edges, key=lambda e: (e.src, e.dst, e.kind)):
-        src_first, src_count = spans[edge.src]
-        dst_first, _ = spans[edge.dst]
-        pair = (src_first + src_count - 1, dst_first)
-        if pair not in seen:
-            seen.add(pair)
-            edges_cfg.append(pair)
+    edges_cfg = [(first + count - 1, spans[dst][0])
+                 for (first, count), dsts in zip(spans, cfg.successors)
+                 for dst in dsts]
     return InstructionGraph(features, tuple(spans), tuple(edges_cfg),
                             tuple(edges_seq))
 

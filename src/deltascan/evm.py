@@ -40,14 +40,6 @@ class Opcode:
     is_defined: bool = True
 
     @property
-    def is_terminator(self) -> bool:
-        return self.byte_value in (0x00, 0xF3, 0xFD, 0xFF, 0x56) or self.mnemonic == "INVALID"
-
-    @property
-    def is_jump(self) -> bool:
-        return self.byte_value == 0x56
-
-    @property
     def is_jumpi(self) -> bool:
         return self.byte_value == 0x57
 

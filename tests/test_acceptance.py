@@ -16,7 +16,7 @@ import pytest
 
 from deltascan import (AnnIndex, EntryLabel, IndexEntry, analyze_contract,
                        decide_similar, detect_bypass_reentrancy, disassemble,
-                       embed_function, extract_paths, fusion_weights,
+                       embed_function, enumerate_paths, fusion_weights,
                        load_index, reserialize, save_index, signature_selector,
                        train_vocabulary)
 from deltascan.cfg import partition_blocks, resolve_edges
@@ -79,14 +79,15 @@ def test_criterion_02_cfg_hand_trace_fixtures():
     diamond = assemble("CALLDATALOAD\nPUSH1 0x07\nJUMPI\nPUSH1 0x0b\nJUMP\n"
                        "JUMPDEST\nPUSH1 0x0b\nJUMP\nJUMPDEST\nSTOP")
     (fn,) = analyze_contract(diamond).functions
-    ok &= [list(p.blocks) for p in extract_paths(fn)] == [[0, 1, 3], [0, 2, 3]]
+    ok &= [list(p.blocks) for p in enumerate_paths(fn).paths] == \
+        [[0, 1, 3], [0, 2, 3]]
 
     # cycle: A -> {B -> A, E}
     cycle = assemble("JUMPDEST\nCALLDATALOAD\nPUSH1 0x08\nJUMPI\n"
                      "PUSH1 0x00\nJUMP\nJUMPDEST\nSTOP")
     (fn,) = analyze_contract(cycle).functions
     traced = {(tuple(p.blocks), p.terminal_reason)
-              for p in extract_paths(fn)}
+              for p in enumerate_paths(fn).paths}
     ok &= traced == {((0, 1), "all_successors_visited"),
                      ((0, 2), "natural_exit")}
     _verdict(2, "CFG hand-trace and path fixtures exact", bool(ok))
@@ -116,7 +117,7 @@ def _embed_contract(code, vocab, params, config):
     analysis = analyze_contract(code)
     out = []
     for fn in analysis.functions:
-        paths = extract_paths(fn)
+        paths = enumerate_paths(fn).paths
         out.append(embed_function(fn, paths, vocab, params, config))
     return out
 

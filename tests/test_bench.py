@@ -23,7 +23,8 @@ def test_bench_traced_run_is_correct_and_hooks_every_layer(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     metrics = result["metrics"]
-    names = ["keccak.ms", "encoder.params_ms", "encoder.sequence_ms",
+    names = ["keccak.ms", "cfg.blocks_ms", "cfg.edges_ms", "cfg.functions_ms",
+             "cfg.paths_ms", "encoder.params_ms", "encoder.sequence_ms",
              "encoder.gat_ms"]
     if workload == "embed-defects":
         names.append("encoder.vocab_train_ms")

@@ -1,11 +1,17 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from deltascan.cfg import (analyze_contract, enumerate_paths, extract_paths,
-                           partition_blocks, recover_functions, resolve_edges)
+from deltascan.cfg import (analyze_contract, enumerate_paths, partition_blocks,
+                           recover_functions, resolve_edges)
+from deltascan.detectors import DefectClass, DefectRecord, map_report
 from deltascan.evm import assemble, disassemble
-from fixtures import (build_contract, getter_body, loop_body, setter_body,
-                      vulnerable_mint_body)
+from fixtures import (Asm, build_contract, getter_body, loop_body,
+                      make_corpus, setter_body, vulnerable_mint_body)
 from oracles.keccak_ref import keccak256 as keccak_ref
+from oracles.partition_ref import partition as partition_ref
 
 
 def _blocks(code_hex):
@@ -121,15 +127,17 @@ def test_functions_exclude_dispatcher_and_other_entries():
         # entry block ids are dense and local
         assert sorted(b.block_id for b in fn.blocks) == list(range(len(fn.blocks)))
         assert fn.entry_block < len(fn.blocks)
-        for e in fn.edges:
-            assert e.src < len(fn.blocks) and e.dst < len(fn.blocks)
+        assert len(fn.successors) == len(fn.blocks)
+        for dsts in fn.successors:
+            assert list(dsts) == sorted(set(dsts))
+            assert all(dst < len(fn.blocks) for dst in dsts)
 
 
 def _paths_of(code, max_paths=64):
     analysis = analyze_contract(code)
     (fn,) = [f for f in analysis.functions if f.selector is None] \
         if not analysis.selector_map.entries else analysis.functions[:1]
-    return fn, extract_paths(fn, max_paths)
+    return fn, enumerate_paths(fn, max_paths).paths
 
 
 def test_diamond_paths():
@@ -185,7 +193,7 @@ def test_start_positions_are_cumulative_instr_counts():
                             setter_body(4))])
     analysis = analyze_contract(code)
     for fn in analysis.functions:
-        for p in extract_paths(fn):
+        for p in enumerate_paths(fn).paths:
             total = 0
             for bid, start in zip(p.blocks, p.start_positions):
                 assert start == total
@@ -214,7 +222,7 @@ def test_paths_never_repeat_blocks():
     code = build_contract([("totalSupply()", loop_body(3))])
     analysis = analyze_contract(code)
     for fn in analysis.functions:
-        for p in extract_paths(fn):
+        for p in enumerate_paths(fn).paths:
             assert len(set(p.blocks)) == len(p.blocks)
 
 
@@ -226,12 +234,143 @@ def test_analysis_determinism():
         assert f1.function_id == f2.function_id
         assert [b.start_offset for b in f1.blocks] == \
             [b.start_offset for b in f2.blocks]
-        assert f1.edges == f2.edges
-        assert [p.blocks for p in extract_paths(f1)] == \
-            [p.blocks for p in extract_paths(f2)]
+        assert f1.successors == f2.successors
+        assert [p.blocks for p in enumerate_paths(f1).paths] == \
+            [p.blocks for p in enumerate_paths(f2).paths]
 
 
 def test_avg_block_len_positive():
     code = build_contract([("balanceOf(address)", getter_body(0))])
     for fn in analyze_contract(code).functions:
         assert fn.avg_block_len > 0
+
+
+def _fan_out(width):
+    """A dynamic JUMP whose over-approximation fans out to ``width`` blocks
+    that each jump dynamically again."""
+    lines = ["CALLDATALOAD", "JUMP"]
+    for _ in range(width):
+        lines += ["JUMPDEST", "CALLDATALOAD", "JUMP"]
+    return assemble("\n".join(lines + ["JUMPDEST", "STOP"]))
+
+
+def _fixture_codes():
+    codes = [code for _, _, code in make_corpus(20)]
+    codes += [code for _, _, code in make_corpus(20, vulnerable=False)]
+    codes += [
+        build_contract([("approve(address,uint256)", getter_body(2)),
+                        ("totalSupply()", loop_body(3))],
+                       callvalue_guard=True),
+        assemble("CALLDATALOAD\nPUSH1 0x07\nJUMPI\nPUSH1 0x0b\nJUMP\n"
+                 "JUMPDEST\nPUSH1 0x0b\nJUMP\nJUMPDEST\nSTOP"),
+        assemble("JUMPDEST\nCALLDATALOAD\nPUSH1 0x08\nJUMPI\n"
+                 "PUSH1 0x00\nJUMP\nJUMPDEST\nSTOP"),
+        _fan_out(10),
+    ]
+    return codes
+
+
+def test_partition_matches_leader_set_oracle():
+    edge_cases = [
+        b"",
+        bytes.fromhex("005b00"),      # JUMPDEST right after a terminator
+        bytes.fromhex("6001505b"),    # trailing JUMPDEST
+        bytes.fromhex("6001506100"),  # truncated PUSH2 at the end
+        bytes.fromhex("600c215b0ef600"),  # undefined bytes
+        bytes.fromhex("5b5b5b"),
+    ]
+    rng = random.Random(5)
+    noise = [bytes(rng.randrange(256) for _ in range(rng.randrange(1, 80)))
+             for _ in range(200)]
+    for code in edge_cases + _fixture_codes() + noise:
+        blocks = partition_blocks(disassemble(code))
+        assert [(b.start_offset, b.instr_count, b.terminator_kind)
+                for b in blocks] == partition_ref(code), code.hex()
+        assert [b.block_id for b in blocks] == list(range(len(blocks)))
+    assert partition_ref(bytes.fromhex("005b00")) == [
+        (0, 1, "stop"), (1, 2, "stop")]
+    assert partition_ref(bytes.fromhex("600c215b0ef600")) == [
+        (0, 2, "invalid"), (3, 2, "invalid"), (5, 1, "invalid"),
+        (6, 1, "stop")]
+
+
+def _analysis_record(code):
+    """The front end's whole output for one contract, as JSON values:
+    blocks, contract edges with kind and ``dynamic``, the selector map, and
+    per function its blocks, successor pairs and paths (two caps)."""
+    a = analyze_contract(code)
+    functions = []
+    for fn in a.functions:
+        tag = fn.function_id[1]
+        paths = {}
+        for cap in (3, 64):
+            enum = enumerate_paths(fn, cap)
+            paths[cap] = [[list(p.blocks), list(p.start_positions),
+                           p.terminal_reason] for p in enum.paths]
+            paths[cap].append(enum.hit_cap)
+        functions.append({
+            "id": [fn.function_id[0].hex(),
+                   tag.hex() if isinstance(tag, bytes) else tag],
+            "entry": fn.entry_block,
+            "blocks": [[b.block_id, b.start_offset, b.instr_count,
+                        b.terminator_kind] for b in fn.blocks],
+            "edges": [[src, dst] for src, dsts in enumerate(fn.successors)
+                      for dst in dsts],
+            "paths": paths,
+        })
+    return {
+        "blocks": [[b.start_offset, b.instr_count, b.terminator_kind]
+                   for b in a.blocks],
+        "edges": sorted([e.src, e.dst, e.kind, e.dynamic] for e in a.edges),
+        "selectors": sorted([sel.hex(), bid] for sel, bid
+                            in a.selector_map.entries.items()),
+        "fallback": a.selector_map.fallback_entry,
+        "functions": functions,
+    }
+
+
+# sha256 of the records below, computed with the leader-set partition and
+# the edge-set function carving that successor lists replaced
+ANALYSIS_DIGEST = ("017098d5e7c8ca66f2f753ae994bcd08"
+                   "bc61d9c9a5d184ceab1861b5c50c21ee")
+
+
+def test_fixture_analysis_digest_is_pinned():
+    """Every block, edge, selector, successor pair and path of the fixture
+    corpus, as the leader-set partition and the edge-set carving gave
+    them."""
+    records = [_analysis_record(code) for code in _fixture_codes()]
+    assert sum(len(r["functions"]) for r in records) > 150
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == ANALYSIS_DIGEST
+
+
+def test_short_push_selector_is_recovered_and_maps():
+    """solc pushes a selector at its minimal width: 0x00fdd58e is compared
+    as PUSH3 0xfdd58e, and must still be recovered."""
+    signature = "balanceOf(address,uint256)"
+    selector = keccak_ref(signature.encode())[:4]
+    assert selector.hex() == "00fdd58e"
+    other = keccak_ref(b"approve(address,uint256)")[:4]
+    a = Asm()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    a.op("DUP1").op("PUSH3", selector[1:]).op("EQ")
+    a.push_label("short").op("JUMPI")
+    a.op("DUP1").op("PUSH4", other).op("EQ")
+    a.push_label("wide").op("JUMPI")
+    a.push(0).op("DUP1").op("REVERT")
+    a.label("short")
+    getter_body(1)(a, "short")
+    a.label("wide")
+    setter_body(2)(a, "wide")
+    analysis = analyze_contract(a.assemble())
+    assert set(analysis.selector_map.entries) == {selector, other}
+    selectors = [fn.selector for fn in analysis.functions]
+    assert selector in selectors and other in selectors
+    (fn,) = [f for f in analysis.functions if f.selector == selector]
+    assert fn.function_id == (analysis.program.code_hash, selector)
+    record = DefectRecord("Token", signature, DefectClass.WeakAuthValidation)
+    mapped, unmapped = map_report([record], {"Token": (
+        analysis.program.code_hash, analysis.selector_map)})
+    assert unmapped == []
+    assert [m.function_id for m in mapped] == [fn.function_id]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deltascan.cfg import analyze_contract, extract_paths
+from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.encoder import (embed, embed_contract, embed_function,
                                train_vocabulary)
 from deltascan.encoder import memo as memo_module
@@ -17,7 +17,7 @@ from oracles.attention_ref import encode_reference
 def _embed(code, vocab, params, config, **kwargs):
     analysis = analyze_contract(code)
     fn = analysis.functions[0]
-    paths = extract_paths(fn)
+    paths = enumerate_paths(fn).paths
     return fn, embed_function(fn, paths, vocab, params, config, **kwargs)
 
 
@@ -46,7 +46,8 @@ def test_embed_function_refuses_another_config(small_vocab, params, config,
     with pytest.raises(ValueError):
         _embed(code, small_vocab, params, replace(config, **change))
     fn, emb = _embed(code, small_vocab, params, replace(config))
-    (alone,) = embed_contract([(fn, extract_paths(fn))], small_vocab, params)
+    (alone,) = embed_contract([(fn, enumerate_paths(fn).paths)], small_vocab,
+                              params)
     assert _bits([emb]) == _bits([alone])
 
 
@@ -87,11 +88,12 @@ def test_unreachable_block_uses_fallback(small_vocab, params, config):
     fn = analysis.functions[0]
     # starve the path budget so only one path exists; blocks off that path
     # must fall back to projected word embeddings
-    paths = extract_paths(fn, max_paths=1)
+    paths = enumerate_paths(fn, max_paths=1).paths
     covered = set(paths[0].blocks)
     emb = embed_function(fn, paths, small_vocab, params, config)
     assert emb.fallback_blocks == len(fn.blocks) - len(covered)
-    full = embed_function(fn, extract_paths(fn), small_vocab, params, config)
+    full = embed_function(fn, enumerate_paths(fn).paths, small_vocab, params,
+                          config)
     assert full.fallback_blocks < emb.fallback_blocks or \
         full.fallback_blocks == 0
 
@@ -107,14 +109,15 @@ def test_truncation_counter(small_vocab, params, config):
         a.op("STOP")
     code = build_contract([("approve(address,uint256)", body)])
     fn = analyze_contract(code).functions[0]
-    emb = embed_function(fn, extract_paths(fn), small_vocab, params, config)
+    emb = embed_function(fn, enumerate_paths(fn).paths, small_vocab, params,
+                         config)
     assert emb.paths_truncated >= 1
     assert all(np.isfinite(v).all() for v in emb.block_vectors)
 
 
 def test_empty_function_rejected(small_vocab, params, config):
     from deltascan.cfg import FunctionCfg
-    empty = FunctionCfg((b"", 0), None, 0, (), frozenset())
+    empty = FunctionCfg((b"", 0), None, 0, (), ())
     with pytest.raises(EmptyFunction):
         embed_function(empty, [], small_vocab, params, config)
 
@@ -130,8 +133,8 @@ def test_embedding_independent_of_other_functions(small_vocab, params, config):
         analysis = analyze_contract(code)
         fn = next(f for f in analysis.functions
                   if f.selector == bytes.fromhex("40c10f19"))
-        return embed_function(fn, extract_paths(fn), small_vocab, params,
-                              config)
+        return embed_function(fn, enumerate_paths(fn).paths, small_vocab,
+                              params, config)
     a = mint_embedding(solo)
     b = mint_embedding(pair)
     assert len(a.block_vectors) == len(b.block_vectors)
@@ -164,7 +167,7 @@ def test_block_vectors_are_pinned(params, config):
     vocab = Vocabulary({t: rng.standard_normal(config.word_dim)
                         .astype(np.float32) for t in tokens},
                        config.word_dim, b"")
-    emb = embed_function(fn, extract_paths(fn), vocab, params, config)
+    emb = embed_function(fn, enumerate_paths(fn).paths, vocab, params, config)
     golden = [
         (1.217757, [-0.0123, -0.08284, 0.232287, -0.159222]),
         (0.946413, [0.016841, -0.044035, 0.121874, -0.083968]),
@@ -188,13 +191,13 @@ def test_mint_selector_discrimination(params, config):
         for fn in analyze_contract(code).functions:
             corpus += [[ins.opcode.mnemonic for bid in path.blocks
                         for ins in fn.blocks[bid].instructions]
-                       for path in extract_paths(fn)]
+                       for path in enumerate_paths(fn).paths]
     vocab = train_vocabulary(corpus, config)
 
     def blocks(body):
         fn = analyze_contract(build_contract(
             [(MINT_SIGNATURE, body)])).functions[0]
-        return embed_function(fn, extract_paths(fn), vocab, params,
+        return embed_function(fn, enumerate_paths(fn).paths, vocab, params,
                               config).block_vectors
 
     vulnerable = np.stack(blocks(vulnerable_mint_body(5)))
@@ -212,8 +215,8 @@ def test_mint_selector_discrimination(params, config):
 
 
 def _items(code, max_paths=None):
-    return [(fn, extract_paths(fn) if max_paths is None
-             else extract_paths(fn, max_paths=max_paths))
+    return [(fn, enumerate_paths(fn).paths if max_paths is None
+             else enumerate_paths(fn, max_paths=max_paths).paths)
             for fn in analyze_contract(code).functions if fn.blocks]
 
 
@@ -243,7 +246,8 @@ def test_contract_pass_equals_per_function(small_vocab, params, config,
         ("owner()", getter_body(3)),
         ("mint(address,uint256)", vulnerable_mint_body(3))]))
     items += _items(bytes.fromhex("00"))
-    items.append((items[0][0], extract_paths(items[0][0], max_paths=1)))
+    items.append((items[0][0],
+                  enumerate_paths(items[0][0], max_paths=1).paths))
     items += _items(build_contract([
         ("approve(address,uint256)", _straight_line_body(config.m_max))]))
     assert [len(fn.blocks[0].instructions) for fn, _ in items].count(1) == 1
@@ -266,7 +270,7 @@ def test_contract_pass_equals_per_function(small_vocab, params, config,
 def test_contract_pass_rejects_a_function_without_blocks(small_vocab, params,
                                                          config):
     from deltascan.cfg import FunctionCfg
-    empty = FunctionCfg((b"", 0), None, 0, (), frozenset())
+    empty = FunctionCfg((b"", 0), None, 0, (), ())
     items = _items(build_contract([("owner()", getter_body(0))]))
     with pytest.raises(EmptyFunction):
         embed_contract(items + [(empty, [])], small_vocab, params)
@@ -406,7 +410,7 @@ def test_memo_misses_a_function_one_opcode_edge_or_path_away(small_vocab,
     from dataclasses import replace
     fn, paths = _items(build_contract([
         ("approve(address,uint256)", setter_body(1))]))[0]
-    assert len(paths) == 2 and len({(e.src, e.dst) for e in fn.edges}) > 1
+    assert len(paths) == 2 and sum(map(len, fn.successors)) > 1
     params = init_params(config)
     memo = params.memo.bind(small_vocab)
     embed_contract([(fn, paths)], small_vocab, params, memo=memo)
@@ -415,11 +419,14 @@ def test_memo_misses_a_function_one_opcode_edge_or_path_away(small_vocab,
     last = fn.blocks[-1].instr_count - 1
     assert fn.blocks[-1].instructions[last].opcode.mnemonic != "RETURN"
     swapped = _swap_opcode(fn, len(fn.blocks) - 1, last, "RETURN")
-    edge = max(fn.edges, key=lambda e: (e.src, e.dst))
+    # drop the last edge: the last successor of the last block that has one
+    src = max(i for i, dsts in enumerate(fn.successors) if dsts)
+    successors = list(fn.successors)
+    successors[src] = successors[src][:-1]
     for item, reused in [
             ((clone, clone_paths), 1),
             ((swapped, paths), 0),
-            ((replace(fn, edges=fn.edges - {edge}), paths), 0),
+            ((replace(fn, successors=tuple(successors)), paths), 0),
             ((fn, paths[:1]), 0),
             ((fn, paths[::-1]), 0)]:
         stats = {}

@@ -101,3 +101,8 @@ def test_config_validation():
                   {"gat_heads": (8, 0, 1)}, {"gat_heads": (8, 8, -1)}):
         with pytest.raises(ValueError, match="head counts must be positive"):
             EmbeddingConfig(**heads)
+    # a window below 1 gives no training pairs: the vocabulary would keep
+    # its random initial rows without any error
+    for window in (0, -2):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            EmbeddingConfig(window=window)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from deltascan.cfg import analyze_contract, extract_paths
+from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.encoder import (EmbeddingConfig, load_vocabulary,
                                save_vocabulary, train_vocabulary)
 from deltascan.encoder.vocab import _add_rows, _window_pairs
@@ -121,7 +121,7 @@ def test_vocabulary_digest_is_pinned(count, prefix, largest, config):
         for fn in analyze_contract(code).functions:
             corpus += [[ins.opcode.mnemonic for bid in path.blocks
                         for ins in fn.blocks[bid].instructions]
-                       for path in extract_paths(fn)]
+                       for path in enumerate_paths(fn).paths]
     with np.errstate(all="ignore"):
         vocab = train_vocabulary(corpus, config)
     weights = np.stack(list(vocab.vectors.values()))
