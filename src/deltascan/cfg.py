@@ -11,6 +11,11 @@ graph, the encoder memo key) reads those lists.
 Dynamic jumps (no PUSH-constant target) are over-approximated with edges to
 every JUMPDEST block; paths are enumerated depth-first with successors in
 ascending block-id order so results are deterministic.
+
+Function recovery can be gated on a set of selectors: the selector map,
+the blocks and the contract's edges are still recovered whole, but only
+the functions under those selectors are carved. ``detect`` gates on the
+selectors its index holds, since no other function can match.
 """
 
 from __future__ import annotations
@@ -177,10 +182,16 @@ def _find_selector_patterns(block: BasicBlock) -> list:
     return matches
 
 
-def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple:
+def recover_functions(blocks: list, edges: set, code_hash: bytes = b"",
+                      selectors=None) -> tuple:
     """Scan the dispatcher spine for selector checks and carve per-function
     CFG subgraphs. Returns (SelectorMap, [FunctionCfg]); a contract with no
-    dispatcher pattern yields one anonymous function over the whole graph."""
+    dispatcher pattern yields one anonymous function over the whole graph.
+
+    Given a container of 4-byte ``selectors``, only the functions under a
+    selector in it are carved, and neither the fallback nor the anonymous
+    function is; the selector map is complete either way. ``None`` carves
+    every function."""
     if not blocks:
         return SelectorMap({}, None), []
     by_offset = {b.start_offset: b.block_id for b in blocks}
@@ -219,6 +230,8 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
     entry_blocks = set(selector_entries.values())
 
     if not selector_entries:
+        if selectors is not None:
+            return SelectorMap({}, None), []
         cfg = _carve_function(blocks, succ, entry=0, excluded=set(),
                               selector=None, code_hash=code_hash)
         return SelectorMap({}, None), [cfg]
@@ -232,11 +245,13 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"") -> tuple
 
     functions = []
     for selector in sorted(selector_entries):
+        if selectors is not None and selector not in selectors:
+            continue
         entry = selector_entries[selector]
         excluded = dispatcher_blocks | (entry_blocks - {entry})
         functions.append(_carve_function(blocks, succ, entry, excluded,
                                          selector, code_hash))
-    if fallback_entry is not None:
+    if fallback_entry is not None and selectors is None:
         excluded = dispatcher_blocks | entry_blocks
         functions.append(_carve_function(blocks, succ, fallback_entry,
                                          excluded, None, code_hash))
@@ -271,7 +286,9 @@ def _carve_function(blocks, succ, entry, excluded, selector, code_hash):
 
 
 def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
-    """Loop-avoiding DFS from the entry block; deterministic order."""
+    """Loop-avoiding DFS from the entry block; deterministic order. At most
+    ``max_paths`` paths are kept; ``hit_cap`` says that the walk found one
+    more, so some paths were never enumerated."""
     if max_paths < 1:
         raise ValueError("max_paths must be >= 1")
     if not cfg.blocks:
@@ -289,7 +306,11 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
         return tuple(pos)
 
     def emit(path, reason):
-        paths.append(ExecutionPath(tuple(path), positions(path), reason))
+        nonlocal hit_cap
+        if len(paths) == max_paths:
+            hit_cap = True
+        else:
+            paths.append(ExecutionPath(tuple(path), positions(path), reason))
 
     # explicit-stack DFS: frames are (block_id, iterator over unvisited succs)
     path = [cfg.entry_block]
@@ -309,7 +330,7 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
     frame = open_frame(cfg.entry_block)
     if frame is not None:
         frames.append(frame)
-    while frames and len(paths) < max_paths:
+    while frames and not hit_cap:
         dst = next(frames[-1], None)
         if dst is None or dst in on_path:
             if dst is None:
@@ -323,8 +344,6 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
             on_path.discard(path.pop())
         else:
             frames.append(child)
-    if len(paths) >= max_paths and frames:
-        hit_cap = True
     return PathEnumeration(tuple(paths), hit_cap)
 
 
@@ -333,18 +352,24 @@ class ContractAnalysis:
     program: Program
     blocks: tuple
     edges: frozenset
-    selector_map: SelectorMap
-    functions: tuple
+    selector_map: SelectorMap  # complete, gated or not
+    functions: tuple           # gated: only the functions under the selectors
 
 
-def analyze_contract(code: bytes) -> ContractAnalysis:
+def analyze_contract(code: bytes, selectors=None) -> ContractAnalysis:
     """Full front-end: strip metadata, disassemble, partition, recover
-    functions. Convenience composition used by the CLI and pipeline."""
+    functions. Convenience composition used by the CLI and pipeline.
+
+    Given ``selectors``, ``functions`` holds only the functions under a
+    selector in it (see ``recover_functions``), each equal to the one an
+    ungated analysis carves; the program, blocks, edges and selector map
+    are complete either way."""
     from .evm import disassemble, strip_metadata
 
     program = disassemble(strip_metadata(code)[0])
     blocks = partition_blocks(program)
     edges = resolve_edges(blocks)
-    selmap, functions = recover_functions(blocks, edges, program.code_hash)
+    selmap, functions = recover_functions(blocks, edges, program.code_hash,
+                                          selectors)
     return ContractAnalysis(program, tuple(blocks), frozenset(edges),
                             selmap, tuple(functions))

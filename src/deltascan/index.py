@@ -112,6 +112,11 @@ class AnnIndex:
         order = np.argsort(dists, kind="stable")[:k]
         return [(int(i), float(dists[i])) for i in order]
 
+    def selectors(self):
+        """The selectors the index holds a function under, as a live view:
+        the selector gate of ``detect``."""
+        return self._by_selector.keys()
+
     def function_keys(self, selector) -> tuple:
         """Keys of the stored functions under ``selector``, in insertion
         order; empty when the index holds none."""

@@ -2,11 +2,12 @@
 
 Embed phase: analyze contracts, run the builtin reentrancy detector, merge
 external report records, and store block vectors of defective functions in
-the index. Detect phase: analyze new contracts, embed only the functions
-the selector gate lets through (those under a selector the index holds),
-and compare each with every stored function under its selector; no
-detectors run (that is the whole point of the cheaper second phase).
-Only ``cmd_ablate`` runs encoder variants, on in-memory indexes it builds.
+the index. Detect phase: analyze new contracts under the selector gate
+(only the functions under a selector the index holds are carved, have
+their paths enumerated and are embedded), and compare each with every
+stored function under its selector; no detectors run (that is the whole
+point of the cheaper second phase). Only ``cmd_ablate`` runs encoder
+variants, on in-memory indexes it builds, and gates its scans the same way.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class ScanResult:
 def read_bytecode_file(path) -> bytes:
     """Read a bytecode file: hex text as ``evm.decode_hex`` reads it, or
     else its raw bytes."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
         code = decode_hex(raw.decode("ascii"))
     except UnicodeDecodeError:
@@ -116,10 +118,13 @@ class _Analyzed:
     timings_ms: dict
 
 
-def _analyze_one(name: str, code: bytes, max_paths: int) -> _Analyzed:
+def _analyze_one(name: str, code: bytes, max_paths: int,
+                 selectors=None) -> _Analyzed:
+    """Analyze a contract and enumerate its functions' paths; given
+    ``selectors``, only for the functions under them (the selector gate)."""
     timings = {}
     t0 = time.perf_counter()
-    analysis = analyze_contract(code)
+    analysis = analyze_contract(code, selectors)
     timings["analysis"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     paths = {}
@@ -170,7 +175,7 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
     external_records = []
     report_errors = []
     for path in report_files:
-        records, errors = parse_report_file(Path(path).read_bytes())
+        records, errors = parse_report_file(path.read_bytes())
         external_records.extend(records)
         report_errors.extend(errors)
 
@@ -178,8 +183,7 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
     analyzed = []
     for path in bytecode_files:
         try:
-            analyzed.append(_analyze_one(Path(path).stem,
-                                         read_bytecode_file(path),
+            analyzed.append(_analyze_one(path.stem, read_bytecode_file(path),
                                          config.max_paths))
         except Exception as exc:  # batch never aborts on one contract
             logger.warning("embed: %s failed: %s", path, exc)
@@ -282,18 +286,10 @@ def cmd_embed(config: PipelineConfig, inputs) -> dict:
             "mean_contract_ms": total_ms / max(len(plan.analyzed), 1)}
 
 
-def _can_match(fn, index: AnnIndex) -> bool:
-    """The selector gate: a function matches only stored functions under
-    its own selector (``decide_similar``), so one without blocks, without
-    a selector, or under a selector the index does not hold cannot match."""
-    return (bool(fn.blocks) and fn.selector is not None
-            and bool(index.function_keys(fn.selector)))
-
-
 def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                 vocab, params, use_sequence: bool = True,
                 use_graph: bool = True) -> ScanResult:
-    """Embed, in one pass, the functions of one analyzed contract that pass
+    """Embed, in one pass, the functions of one contract analyzed under
     the selector gate, and decide each against the index, built under the
     same encoder variant. A function that an earlier call with the same
     ``params``, ``vocab`` and variant embedded, or its clone, is served
@@ -301,8 +297,7 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     same contract; the counters say how many."""
     result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
-    functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)
-                 if _can_match(fn, index)]
+    functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)]
     stats = {}
     t0 = time.perf_counter()
     embeddings = embed_contract(
@@ -318,7 +313,13 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
     result.nearest = {"0x" + selector.hex(): distance
                       for selector, distance in nearest.items()}
-    with_blocks = sum(bool(fn.blocks) for fn in a.analysis.functions)
+    # every function the contract has, gated or not: one per selector,
+    # plus the fallback or else the anonymous function of a non-empty
+    # contract without a dispatcher
+    selmap = a.analysis.selector_map
+    recovered = len(selmap.entries) + (
+        selmap.fallback_entry is not None
+        or (not selmap.entries and bool(a.analysis.blocks)))
     result.counters = {"paths_truncated": sum(
                            e.paths_truncated for e in embeddings),
                        "paths_encoded": stats["paths_encoded"],
@@ -327,14 +328,15 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                            e.fallback_blocks for e in embeddings),
                        "functions_embedded": len(embeddings),
                        "functions_reused": stats["functions_reused"],
-                       "functions_gated": with_blocks - len(embeddings)}
+                       "functions_gated": recovered - len(embeddings)}
     return result
 
 
 def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
                params=None) -> list:
-    """Embed the functions of each contract that pass the selector gate and
-    decide them against the index. Returns a list of ScanResult; a contract
+    """Analyze each contract under the selector gate (the selectors the
+    index holds), embed the functions that pass it and decide them against
+    the index. Returns a list of ScanResult; a contract
     that fails carries its error and never aborts the call. Detectors and
     report parsing never run here. ``index``, ``vocab`` and ``params`` are
     given together, or else all three are loaded; given ``params``,
@@ -352,10 +354,12 @@ def cmd_detect(config: PipelineConfig, inputs, index=None, vocab=None,
         raise ValueError("config.embedding is not the encoder params' own")
 
     results = []
+    selectors = index.selectors()
     for path in bytecode_files:
-        name, a = Path(path).stem, None
+        name, a = path.stem, None
         try:
-            a = _analyze_one(name, read_bytecode_file(path), config.max_paths)
+            a = _analyze_one(name, read_bytecode_file(path), config.max_paths,
+                             selectors)
             results.append(_detect_one(a, config, index, vocab, params))
         except Exception as exc:  # the call never aborts on one contract
             code_hash = a.analysis.program.code_hash.hex() if a else ""
@@ -372,8 +376,10 @@ def cmd_ablate(config: PipelineConfig, embed_inputs, scan_inputs,
     written. An unreadable scan input raises rather than count as 0."""
     plan = _plan_embed(config, embed_inputs)
     params = init_params(config.embedding)
-    scans = [_analyze_one(Path(path).stem, read_bytecode_file(path),
-                          config.max_paths)
+    # every variant's index holds the plan's functions, so one gate
+    selectors = {a.analysis.functions[i].selector for a, i, _, _ in plan.stored}
+    scans = [_analyze_one(path.stem, read_bytecode_file(path),
+                          config.max_paths, selectors)
              for path in _load_inputs(scan_inputs)[0]]
     scan_config = replace(config, threshold=max(thresholds))
     table = {}

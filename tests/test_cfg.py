@@ -218,6 +218,18 @@ def test_max_paths_cap_and_flag():
     assert [p.blocks for p in enum.paths] == [p.blocks for p in full.paths[:5]]
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_hit_cap_only_when_a_path_past_the_cap_exists(cap):
+    """A diamond has two paths: the cap is hit at 1, not at 2 or 3, and the
+    paths kept are the first ``cap`` of them."""
+    code = assemble("PUSH1 0x01\nPUSH1 0x08\nJUMPI\nPUSH1 0x00\nPOP\n"
+                    "JUMPDEST\nSTOP")
+    (fn,) = analyze_contract(code).functions
+    enum = enumerate_paths(fn, max_paths=cap)
+    assert [p.blocks for p in enum.paths] == [(0, 1, 2), (0, 2)][:cap]
+    assert enum.hit_cap == (cap < 2)
+
+
 def test_paths_never_repeat_blocks():
     code = build_contract([("totalSupply()", loop_body(3))])
     analysis = analyze_contract(code)
@@ -343,6 +355,30 @@ def test_fixture_analysis_digest_is_pinned():
     assert sum(len(r["functions"]) for r in records) > 150
     blob = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == ANALYSIS_DIGEST
+
+
+def test_gated_analysis_carves_exactly_the_gated_functions():
+    """Under a selector gate, the functions are those of the ungated
+    analysis whose selector the gate holds, equal field for field; the
+    fallback and the anonymous function are never carved, and the
+    program, blocks, edges and selector map are the ungated ones."""
+    absent = b"\xde\xad\xbe\xef"
+    carved = 0
+    for code in _fixture_codes():
+        full = analyze_contract(code)
+        selectors = sorted(full.selector_map.entries)
+        assert absent not in selectors
+        for gate in (set(), set(selectors[:1]), set(selectors), {absent},
+                     dict.fromkeys(selectors[1:] + [absent]).keys()):
+            gated = analyze_contract(code, gate)
+            expected = tuple(fn for fn in full.functions
+                             if fn.selector in gate)
+            assert gated.functions == expected
+            assert (gated.program, gated.blocks, gated.edges,
+                    gated.selector_map) == (full.program, full.blocks,
+                                            full.edges, full.selector_map)
+            carved += len(expected)
+    assert carved > 150
 
 
 def test_short_push_selector_is_recovered_and_maps():

@@ -71,6 +71,17 @@ def test_function_keys_by_selector():
     assert index.function_keys(None) == ()
 
 
+def test_selectors_is_a_live_view_of_the_held_selectors():
+    index = AnnIndex(DIM)
+    selectors = index.selectors()
+    assert list(selectors) == []
+    index.insert(_entry([1.0], contract="A"))
+    index.insert(_entry([2.0], contract="B", selector=b"\x00" * 4))
+    index.insert(_entry([3.0], contract="A", block_id=1))
+    assert list(selectors) == [b"\x40\xc1\x0f\x19", b"\x00" * 4]
+    assert b"\x00" * 4 in selectors and b"\x01" * 4 not in selectors
+
+
 def test_empty_index_query():
     assert AnnIndex(DIM).query(np.zeros(DIM, dtype=np.float32), k=3) == []
 

@@ -228,7 +228,7 @@ def test_detect_embeds_under_the_configured_variant(corpus_dir, variant):
     config, vocab, params, index = _variant_index(files, variant)
     for path in files[:2]:
         a = pipeline._analyze_one(Path(path).stem, read_bytecode_file(path),
-                                  config.max_paths)
+                                  config.max_paths, index.selectors())
         res = pipeline._detect_one(a, config, index, vocab, params,
                                    use_sequence, use_graph)
         expected = []
@@ -452,7 +452,8 @@ def test_selector_gate_keeps_every_finding_bit_for_bit(mixed_inputs, variant):
     expected = [f for emb in ungated
                 for f in decide_similar(emb, index, config.threshold)]
     res = pipeline._detect_one(
-        pipeline._analyze_one("mixed", code, config.max_paths), config,
+        pipeline._analyze_one("mixed", code, config.max_paths,
+                              index.selectors()), config,
         index, vocab, params, use_sequence, use_graph)
     assert {f.query_function_id[1] for f in expected} == \
         {signature_selector(MINT), signature_selector(APPROVE)}
@@ -518,9 +519,11 @@ def test_detect_error_in_one_contract_spares_the_others(mixed_index,
     assert res_good.findings
 
 
-def test_detect_counts_functions_at_path_cap(built_index, tmp_path):
-    config, _ = built_index
-    code = build_contract([("approve(address,uint256)", setter_body(1)),
+def test_detect_counts_functions_at_path_cap(mixed_index, tmp_path):
+    """``paths_capped`` counts the embedded functions whose enumeration
+    stopped at the cap; a gated function's paths are never enumerated."""
+    config, _ = mixed_index
+    code = build_contract([(APPROVE, setter_body(1)),
                            ("setApprovalForAll(address,bool)", setter_body(3)),
                            ("owner()", getter_body(3))])
     target = tmp_path / "branchy.bin"
@@ -528,12 +531,34 @@ def test_detect_counts_functions_at_path_cap(built_index, tmp_path):
     (res,) = cmd_detect(config, [str(target)])
     assert res.counters["paths_capped"] == 0
     capped = replace(config, max_paths=1)
-    functions = analyze_contract(code).functions
-    over = sum(len(enumerate_paths(fn, config.max_paths).paths) > 1
-               for fn in functions)
-    assert over == 2
+    over = [fn.selector for fn in analyze_contract(code).functions
+            if len(enumerate_paths(fn, config.max_paths).paths) > 1]
+    assert len(over) == 2
     (res,) = cmd_detect(capped, [str(target)])
-    assert res.counters["paths_capped"] == over
+    assert res.counters["functions_embedded"] == 1
+    assert res.counters["paths_capped"] == \
+        over.count(signature_selector(APPROVE)) == 1
+
+
+def test_detect_enumerates_paths_of_indexed_selectors_only(
+        mixed_index, tmp_path, monkeypatch):
+    """The selector gate acts before path enumeration: cmd_detect
+    enumerates the paths of the functions under an indexed selector, and of
+    no other function."""
+    config, _ = mixed_index
+    target = tmp_path / "mixed.bin"
+    target.write_bytes(_mixed_contract())
+    enumerated = []
+
+    def spy(fn, *args, **kwargs):
+        enumerated.append(fn.selector)
+        return enumerate_paths(fn, *args, **kwargs)
+    monkeypatch.setattr(pipeline, "enumerate_paths", spy)
+    (res,) = cmd_detect(config, [str(target)])
+    assert res.error is None
+    assert sorted(enumerated) == sorted([signature_selector(MINT),
+                                         signature_selector(APPROVE)])
+    assert res.counters["functions_gated"] == 3
 
 
 def test_embed_enumerates_paths_once(built_index, corpus_dir, tmp_path,
