@@ -1,12 +1,17 @@
 """Basic-block partitioning, control-flow edges, dispatcher-based function
 recovery, and loop-avoiding path enumeration over disassembled bytecode.
 
-Each stage walks its input once. Blocks are split in one pass over the
-instructions; the contract's edges are read once into a successor map,
-which both the dispatcher walk and the carving of each function use. A
-function carries its successors as one sorted tuple of distinct local
-block ids per block, and everything downstream (paths, the instruction
-graph, the encoder memo key) reads those lists.
+Every stage reads the program's arrays (instruction start offsets and
+opcode bytes; see ``evm``), and none builds an ``Instruction``. A block is
+an index range ``[lo, hi)`` into those arrays. Blocks are split at the
+JUMPDESTs and after the terminators that one regular-expression scan of
+the opcode bytes finds. Edges are resolved once, into per-block successor
+lists and static edges by kind (``Edges``), which the dispatcher walk and
+the carving of each function read; a jump target is read only from the
+instruction before each JUMP/JUMPI. A function carries its successors as
+one sorted tuple of distinct local block ids per block, and everything
+downstream (paths, the instruction graph, the encoder memo key) reads
+those lists.
 
 Dynamic jumps (no PUSH-constant target) are over-approximated with edges to
 every JUMPDEST block; paths are enumerated depth-first with successors in
@@ -20,13 +25,17 @@ selectors its index holds, since no other function can match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import time
+from collections.abc import Set
+from dataclasses import dataclass, field
 
 from .evm import OPCODES, Program
 
 __all__ = [
     "BasicBlock",
     "Edge",
+    "Edges",
     "FunctionCfg",
     "ExecutionPath",
     "SelectorMap",
@@ -44,14 +53,35 @@ HALTING_KINDS = frozenset({"stop", "return", "revert", "invalid", "selfdestruct"
 
 @dataclass(frozen=True)
 class BasicBlock:
+    """Instructions ``[lo, hi)`` of ``program``."""
     block_id: int
-    start_offset: int
-    instructions: tuple
-    terminator_kind: str
+    lo: int
+    hi: int
+    program: Program = field(repr=False)
+
+    @property
+    def start_offset(self) -> int:
+        return self.program.starts[self.lo]
+
+    @property
+    def terminator_kind(self) -> str:
+        """How the block ends: by its last opcode, "fallthrough" when that
+        is no terminator (the block ends before a JUMPDEST or the end)."""
+        return _TERMINATOR_KINDS[self.program.ops[self.hi - 1]]
 
     @property
     def instr_count(self) -> int:
-        return len(self.instructions)
+        return self.hi - self.lo
+
+    @property
+    def ops(self) -> bytes:
+        """The opcode byte of each instruction."""
+        return self.program.ops[self.lo:self.hi]
+
+    @property
+    def instructions(self) -> tuple:
+        """The instructions, built on this read."""
+        return self.program.instructions[self.lo:self.hi]
 
 
 @dataclass(frozen=True)
@@ -60,6 +90,44 @@ class Edge:
     dst: int
     kind: str  # jump_taken | jumpi_true | jumpi_false | fallthrough
     dynamic: bool = False
+
+
+class Edges(Set):
+    """A contract's control-flow edges as the front end reads them: per
+    block, its ascending distinct successors (``succ``) and its static
+    edges as ``{kind: dst}`` (``static``). A dynamic jump's edges to every
+    JUMPDEST block are counted, and made into ``Edge`` records only when
+    the set is iterated."""
+
+    def __init__(self, succ: list, static: list, dynamic: dict,
+                 jumpdests: tuple):
+        self.succ = succ            # block id -> tuple of successor ids
+        self.static = static        # block id -> {kind: dst}, static only
+        self._dynamic = dynamic     # block id -> kind of its dynamic edges
+        self._jumpdests = jumpdests
+        self.dynamic_count = len(dynamic) * len(jumpdests)
+        self._len = sum(map(len, static)) + self.dynamic_count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        jumpdests = self._jumpdests
+        for src, out in enumerate(self.static):
+            for kind, dst in out.items():
+                yield Edge(src, dst, kind)
+            kind = self._dynamic.get(src)
+            if kind is not None:
+                for dst in jumpdests:
+                    yield Edge(src, dst, kind, dynamic=True)
+
+    def __contains__(self, edge) -> bool:
+        if not isinstance(edge, Edge) or not 0 <= edge.src < len(self.static):
+            return False
+        if edge.dynamic:
+            return (self._dynamic.get(edge.src) == edge.kind
+                    and edge.dst in self._jumpdests)
+        return self.static[edge.src].get(edge.kind, -1) == edge.dst
 
 
 @dataclass(frozen=True)
@@ -103,90 +171,93 @@ _TERMINATOR_KINDS = tuple(
     _ENDS.get(op.byte_value,
               "invalid" if op.mnemonic == "INVALID" else "fallthrough")
     for op in OPCODES)
+# the opcode bytes where a block ends (terminators) or starts (JUMPDEST)
+_BOUNDARIES = re.compile(b"[" + b"".join(
+    re.escape(bytes([byte])) for byte, kind in enumerate(_TERMINATOR_KINDS)
+    if kind != "fallthrough" or byte == 0x5B) + b"]")
+# {PUSH1-4 selector; DUP/SWAP*; EQ; PUSH0-32 dest; JUMPI}
+_SELECTOR_CHECK = re.compile(rb"[\x60-\x63][\x80-\x9f]*\x14[\x5f-\x7f]\x57")
 
 
 def partition_blocks(program: Program) -> list:
-    """Split instructions into basic blocks in one pass. A block ends after
-    a (conditional) terminator and before a JUMPDEST."""
-    instructions = program.instructions
+    """Split instructions into basic blocks in one scan of the opcode
+    bytes. A block ends after a (conditional) terminator and before a
+    JUMPDEST."""
+    ops = program.ops
     blocks = []
     start = 0
-    for idx, ins in enumerate(instructions):
-        byte = ins.opcode.byte_value
-        if byte == 0x5B and idx > start:  # JUMPDEST
-            blocks.append(BasicBlock(len(blocks), instructions[start].offset,
-                                     instructions[start:idx], "fallthrough"))
-            start = idx
-        kind = _TERMINATOR_KINDS[byte]
-        if kind != "fallthrough":
-            blocks.append(BasicBlock(len(blocks), instructions[start].offset,
-                                     instructions[start:idx + 1], kind))
+    for match in _BOUNDARIES.finditer(ops):
+        idx = match.start()
+        if ops[idx] == 0x5B:  # JUMPDEST
+            if idx > start:
+                blocks.append(BasicBlock(len(blocks), start, idx, program))
+                start = idx
+        else:
+            blocks.append(BasicBlock(len(blocks), start, idx + 1, program))
             start = idx + 1
-    if start < len(instructions):
-        blocks.append(BasicBlock(len(blocks), instructions[start].offset,
-                                 instructions[start:], "fallthrough"))
+    if start < len(ops):
+        blocks.append(BasicBlock(len(blocks), start, len(ops), program))
     return blocks
 
 
-def resolve_edges(blocks: list) -> set:
-    """Recover control-flow edges with the push-constant jump heuristic."""
+def resolve_edges(blocks: list) -> Edges:
+    """Recover control-flow edges with the push-constant jump heuristic: a
+    jump's target is the value of the PUSH right before it, if any."""
+    program = blocks[0].program if blocks else None
     by_offset = {b.start_offset: b.block_id for b in blocks}
-    jumpdest_blocks = {b.block_id for b in blocks
-                       if b.instructions[0].opcode.byte_value == 0x5B}
-    edges = set()
-    for block in blocks:
-        kind = block.terminator_kind
-        next_id = block.block_id + 1 if block.block_id + 1 < len(blocks) else None
-        if kind == "fallthrough" and next_id is not None:
-            edges.add(Edge(block.block_id, next_id, "fallthrough"))
-            continue
-        if kind in ("jump", "jumpi"):
-            taken_kind = "jump_taken" if kind == "jump" else "jumpi_true"
-            target = None
-            if block.instr_count >= 2:
-                target = block.instructions[-2].push_value
+    jumpdests = tuple(b.block_id for b in blocks if program.ops[b.lo] == 0x5B)
+    is_jumpdest = set(jumpdests)
+    succ, static, dynamic = [], [], {}
+    last = len(blocks) - 1
+    for src, block in enumerate(blocks):
+        hi = block.hi
+        op = program.ops[hi - 1]
+        out = {}
+        if op == 0x56 or op == 0x57:  # JUMP, JUMPI
+            taken_kind = "jump_taken" if op == 0x56 else "jumpi_true"
+            target = program.push_value(hi - 2) if hi - block.lo >= 2 else None
             if target is not None:
                 dst = by_offset.get(target)
-                if dst is not None and dst in jumpdest_blocks:
-                    edges.add(Edge(block.block_id, dst, taken_kind))
+                if dst is not None and dst in is_jumpdest:
+                    out[taken_kind] = dst
                 # resolved-but-invalid target: statically a revert, no edge
             else:
-                for dst in jumpdest_blocks:
-                    edges.add(Edge(block.block_id, dst, taken_kind, dynamic=True))
-            if kind == "jumpi" and next_id is not None:
-                edges.add(Edge(block.block_id, next_id, "jumpi_false"))
-    return edges
+                dynamic[src] = taken_kind
+            if op == 0x57 and src < last:
+                out["jumpi_false"] = src + 1
+        elif src < last and _TERMINATOR_KINDS[op] == "fallthrough":
+            out["fallthrough"] = src + 1
+        static.append(out)
+        if src in dynamic:
+            succ.append(tuple(sorted(is_jumpdest.union(out.values()))))
+        elif len(out) == 2:
+            succ.append(tuple(sorted(set(out.values()))))
+        else:
+            succ.append(tuple(out.values()))
+    return Edges(succ, static, dynamic, jumpdests)
 
 
 def _find_selector_patterns(block: BasicBlock) -> list:
     """Match {PUSH1-4 sel; EQ; PUSH dest; JUMPI} within a dispatcher block,
     tolerating stack-shuffle opcodes between the stages. solc pushes a
     selector at its minimal width, so a shorter one is left-padded to 4
-    bytes."""
+    bytes. Matches cannot overlap: nothing inside one starts another."""
+    program = block.program
+    code, starts = program.code_body, program.starts
     matches = []
-    ins = block.instructions
-    for i, first in enumerate(ins):
-        if not 0x60 <= first.opcode.byte_value <= 0x63 or first.truncated:
-            continue
-        j = i + 1
-        while j < len(ins) and ins[j].opcode.mnemonic.startswith(("DUP", "SWAP")):
-            j += 1
-        if j >= len(ins) or ins[j].opcode.byte_value != 0x14:  # EQ
-            continue
-        k = j + 1
-        if k >= len(ins) or ins[k].push_value is None:
-            continue
-        if k + 1 >= len(ins) or not ins[k + 1].opcode.is_jumpi:
-            continue
-        matches.append((first.immediate.rjust(4, b"\0"), ins[k].push_value))
+    for match in _SELECTOR_CHECK.finditer(program.ops, block.lo, block.hi):
+        first, dest = match.start(), match.end() - 2
+        selector = code[starts[first] + 1:starts[first + 1]]
+        matches.append((selector.rjust(4, b"\0"), program.push_value(dest)))
     return matches
 
 
-def recover_functions(blocks: list, edges: set, code_hash: bytes = b"",
+def recover_functions(blocks: list, edges: Edges, code_hash: bytes = b"",
                       selectors=None) -> tuple:
     """Scan the dispatcher spine for selector checks and carve per-function
     CFG subgraphs. Returns (SelectorMap, [FunctionCfg]); a contract with no
     dispatcher pattern yields one anonymous function over the whole graph.
+    ``edges`` is ``resolve_edges(blocks)``.
 
     Given a container of 4-byte ``selectors``, only the functions under a
     selector in it are carved, and neither the fallback nor the anonymous
@@ -195,12 +266,7 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"",
     if not blocks:
         return SelectorMap({}, None), []
     by_offset = {b.start_offset: b.block_id for b in blocks}
-    succ, static = {}, {}  # block id -> its successors; -> {kind: static dst}
-    for e in edges:
-        succ.setdefault(e.src, set()).add(e.dst)
-        if not e.dynamic:
-            static.setdefault(e.src, {})[e.kind] = e.dst
-    succ = {src: sorted(dsts) for src, dsts in succ.items()}
+    succ, static = edges.succ, edges.static
 
     # dispatcher spine: the chain of selector-miss continuations from block 0,
     # with each spine block's selector checks. A guard (a JUMPI without a
@@ -210,7 +276,7 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"",
     cursor = 0
     while cursor is not None and cursor not in spine:
         patterns = spine[cursor] = _find_selector_patterns(blocks[cursor])
-        out = static.get(cursor, {})
+        out = static[cursor]
         nxt = out.get("jumpi_false", out.get("fallthrough"))
         taken = out.get("jumpi_true")
         if (nxt is not None and taken is not None
@@ -260,25 +326,24 @@ def recover_functions(blocks: list, edges: set, code_hash: bytes = b"",
 
 def _carve_function(blocks, succ, entry, excluded, selector, code_hash):
     """Reachable subgraph from ``entry``, truncated at excluded blocks,
-    re-indexed with function-local dense block ids. ``succ`` maps a block
-    id to its ascending successor ids."""
+    re-indexed with function-local dense block ids. ``succ`` lists each
+    block's ascending successor ids."""
     reachable = []
     stack, seen = [entry], {entry}
     while stack:
         bid = stack.pop()
         reachable.append(bid)
-        for dst in reversed(succ.get(bid, ())):
+        for dst in reversed(succ[bid]):
             if dst not in seen and dst not in excluded:
                 seen.add(dst)
                 stack.append(dst)
     # block ids ascend with start offsets, so local ids keep their order
     reachable.sort()
     remap = {bid: new for new, bid in enumerate(reachable)}
-    local_blocks = tuple(
-        BasicBlock(remap[bid], blocks[bid].start_offset,
-                   blocks[bid].instructions, blocks[bid].terminator_kind)
-        for bid in reachable)
-    successors = tuple(tuple(remap[dst] for dst in succ.get(bid, ())
+    local_blocks = tuple(BasicBlock(new, b.lo, b.hi, b.program)
+                         for new, b in enumerate([blocks[bid]
+                                                  for bid in reachable]))
+    successors = tuple(tuple(remap[dst] for dst in succ[bid]
                              if dst in remap)
                        for bid in reachable)
     fid = (code_hash, selector if selector is not None else blocks[entry].start_offset)
@@ -351,14 +416,17 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
 class ContractAnalysis:
     program: Program
     blocks: tuple
-    edges: frozenset
+    edges: Edges
     selector_map: SelectorMap  # complete, gated or not
     functions: tuple           # gated: only the functions under the selectors
+    # milliseconds of the stages: decode, blocks, edges, functions
+    timings_ms: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def analyze_contract(code: bytes, selectors=None) -> ContractAnalysis:
-    """Full front-end: strip metadata, disassemble, partition, recover
-    functions. Convenience composition used by the CLI and pipeline.
+    """Full front-end: strip metadata, disassemble, partition, resolve
+    edges, recover functions, and time each stage. Convenience composition
+    used by the CLI and pipeline.
 
     Given ``selectors``, ``functions`` holds only the functions under a
     selector in it (see ``recover_functions``), each equal to the one an
@@ -366,10 +434,18 @@ def analyze_contract(code: bytes, selectors=None) -> ContractAnalysis:
     are complete either way."""
     from .evm import disassemble, strip_metadata
 
+    marks = [time.perf_counter()]
     program = disassemble(strip_metadata(code)[0])
+    marks.append(time.perf_counter())
     blocks = partition_blocks(program)
+    marks.append(time.perf_counter())
     edges = resolve_edges(blocks)
+    marks.append(time.perf_counter())
     selmap, functions = recover_functions(blocks, edges, program.code_hash,
                                           selectors)
-    return ContractAnalysis(program, tuple(blocks), frozenset(edges),
-                            selmap, tuple(functions))
+    marks.append(time.perf_counter())
+    timings = {name: (end - begin) * 1e3 for name, begin, end in
+               zip(("decode", "blocks", "edges", "functions"), marks,
+                   marks[1:])}
+    return ContractAnalysis(program, tuple(blocks), edges, selmap,
+                            tuple(functions), timings)

@@ -12,6 +12,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .cfg import FunctionCfg, enumerate_paths
 from .errors import MalformedSignature, SchemaError
@@ -149,21 +150,35 @@ def map_report(records: list, selector_maps: dict) -> tuple:
 
 
 _TOP = object()  # statically unresolvable storage key
+_SLOAD, _SSTORE = 0x54, 0x55
+_CALLS = frozenset({0xF1, 0xF2, 0xF4, 0xFA})  # CALL CALLCODE DELEGATECALL STATICCALL
+# the opcode bytes the heuristic reads; no other instruction changes its state
+_EVENTS = re.compile(b"[" + b"".join(re.escape(bytes([op])) for op in
+                                     sorted({_SLOAD, _SSTORE} | _CALLS)) + b"]")
 
 
-def _storage_key(instructions, idx):
-    """Key of the SLOAD/SSTORE at ``idx``: the preceding PUSH value, else ⊤."""
-    if idx > 0:
-        value = instructions[idx - 1].push_value
-        if value is not None:
-            return value
-    return _TOP
+def _events(block) -> list:
+    """(opcode byte, storage key, index) of each SLOAD, SSTORE and external
+    call of a block, in order. A storage key is the value of the PUSH right
+    before, else ⊤. The first instruction of a block follows a JUMPI or
+    nothing on every path (a block entered any other way starts with a
+    JUMPDEST), so its key is ⊤."""
+    program = block.program
+    events = []
+    for match in _EVENTS.finditer(program.ops, block.lo, block.hi):
+        idx = match.start()
+        value = program.push_value(idx - 1) if idx > block.lo else None
+        events.append((program.ops[idx], _TOP if value is None else value,
+                       idx))
+    return events
 
 
 def detect_bypass_reentrancy(cfg: FunctionCfg, max_paths: int = 64,
                              contract_name: str = "", paths=None) -> list:
     """Flag functions that read storage, make an external call, and only
-    then write one of the keys read before the call (CEI violation).
+    then write one of the keys read before the call (CEI violation). A
+    storage key is the value of the PUSH right before the SLOAD or SSTORE,
+    else unknown (⊤).
 
     ``paths`` are the function's execution paths when the caller already
     holds them (``enumerate_paths(cfg, max_paths).paths``); otherwise they
@@ -175,26 +190,25 @@ def detect_bypass_reentrancy(cfg: FunctionCfg, max_paths: int = 64,
     evidence = None
     if paths is None:
         paths = enumerate_paths(cfg, max_paths).paths
+    events = [_events(block) for block in cfg.blocks]
     for path in paths:
-        instructions = [ins for bid in path.blocks
-                        for ins in cfg.blocks[bid].instructions]
         pending = set()       # keys SLOADed and not yet written back
         snapshot = set()      # keys still pending at some external call
         called = False
-        for idx, ins in enumerate(instructions):
-            op = ins.opcode
-            if op.is_sload:
-                pending.add(_storage_key(instructions, idx))
-            elif op.is_sstore:
-                key = _storage_key(instructions, idx)
+        for op, key, idx in chain.from_iterable(map(events.__getitem__,
+                                                    path.blocks)):
+            if op == _SLOAD:
+                pending.add(key)
+            elif op == _SSTORE:
                 if called and snapshot and (key is _TOP or key in snapshot
                                             or _TOP in snapshot):
                     flagged = True
+                    offset = cfg.blocks[0].program.starts[idx]
                     evidence = (f"storage read before external call at offset "
-                                f"{ins.offset:#x} written back only after it")
+                                f"{offset:#x} written back only after it")
                 if key is not _TOP:
                     pending.discard(key)
-            elif op.is_external_call:
+            else:
                 snapshot |= pending
                 called = True
         if flagged:

@@ -11,7 +11,7 @@ batch and graph attention is node-local, so every block vector is the same,
 bit for bit, as when its function is embedded alone (``embed_function``).
 
 A pass first looks each function up by its key (``_function_key``: the
-variant, its blocks' tokens, successor lists and paths) in a
+variant, its blocks' tokens as bytes, successor lists and paths) in a
 ``memo.EncoderMemo``. A function the memo holds is served from it whole:
 sequence, fusion, graph and pooling are skipped. Each other distinct
 function is embedded once and added to it, and its twins in the pass are
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from ..cfg import FunctionCfg
 from ..errors import EmptyFunction
+from ..evm import BYTE_MNEMONICS, OPCODES
 from .config import EmbeddingConfig
 from .fusion import fuse_block
 from .graph import (build_instruction_graph, encode_graph, pool_block,
@@ -72,8 +72,19 @@ class FunctionEmbedding:
         return self.block_vectors[0].shape[0] if self.block_vectors else 0
 
 
+# each opcode byte mapped to one byte per token: the undefined bytes share
+# 0xFE's, as they share its mnemonic INVALID
+_TOKEN_BYTES = bytes(op.byte_value if op.is_defined else 0xFE
+                     for op in OPCODES)
+
+
+def tokens_of(token_bytes: bytes) -> list:
+    """The mnemonic tokens that opcode (or token) bytes spell."""
+    return list(map(BYTE_MNEMONICS.__getitem__, token_bytes))
+
+
 def _block_tokens(block) -> list:
-    return [ins.opcode.mnemonic for ins in block.instructions]
+    return tokens_of(block.ops)
 
 
 def _word_rows(block, vocab: Vocabulary) -> np.ndarray:
@@ -122,7 +133,7 @@ def _function_key(cfg: FunctionCfg, paths, tokens: tuple, use_sequence: bool,
                   use_graph: bool) -> tuple:
     """Everything a function's block vectors and counts depend on, under
     one params object and vocabulary: the variant, each block's tokens in
-    block order, its successor lists (the CFG edges
+    block order (as token bytes), its successor lists (the CFG edges
     ``build_instruction_graph`` reads), and each path's blocks, which fix
     its start positions and tokens, the fallback blocks and the path cap.
     Ids, selectors and immediates are not in it."""
@@ -156,14 +167,14 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
 
     # functions: those the memo holds are served; of the others, each
     # distinct one is embedded once, below
-    tokens = [tuple(tuple(_block_tokens(block)) for block in cfg.blocks)
-              for cfg, _ in items]
+    block_tokens = [tuple(block.ops.translate(_TOKEN_BYTES)
+                          for block in cfg.blocks) for cfg, _ in items]
     keys = [_function_key(cfg, paths, t, use_sequence, use_graph)
-            for (cfg, paths), t in zip(items, tokens)]
+            for (cfg, paths), t in zip(items, block_tokens)]
     # function key -> (vectors, (truncated, fallback)), None until embedded
     served = {key: memo.hit(key) for key in keys}
     missed = {}  # function key -> (cfg, paths, tokens) of its first item
-    for key, (cfg, paths), t in zip(keys, items, tokens):
+    for key, (cfg, paths), t in zip(keys, items, block_tokens):
         if served[key] is None:
             missed.setdefault(key, (cfg, paths, t))
 
@@ -171,12 +182,12 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     # one call
     path_keys = [None] * len(missed)  # per function, its paths' tokens
     if use_sequence:
-        path_keys = [[tuple(chain.from_iterable(t[bid] for bid in path.blocks))
+        path_keys = [[b"".join([t[bid] for bid in path.blocks])
                       for path in paths] for _, paths, t in missed.values()]
     encoded = dict.fromkeys(k for function in path_keys if function
-                            for k in function)  # token tuple -> (rows, cut)
+                            for k in function)  # token bytes -> (rows, cut)
     if encoded:
-        batch = [embed_path(list(k), vocab, config) for k in encoded]
+        batch = [embed_path(tokens_of(k), vocab, config) for k in encoded]
         out = encode_sequences(batch, params)
         for k, pe, rows in zip(encoded, batch, out):
             encoded[k] = (rows, pe.truncated)

@@ -4,14 +4,24 @@ Instruction set pinned to the Shanghai fork (PUSH0 included). Every byte
 string disassembles: undefined bytes decode as per-byte INVALID opcodes and
 a PUSH running past the end of code becomes a truncated final instruction,
 so re-serialization is always byte-exact.
+
+Decoding records two arrays, not one object per instruction: each
+instruction's start offset, found by stepping over the code with a
+256-entry step table, and the opcode bytes, as one ``bytes``. A
+``Program`` keeps them with the code body; the front end reads opcode
+bytes and push values from them by instruction index. ``Instruction``
+objects are built on demand only, through ``Program.instruction``, for
+the readers that want them (``reserialize``, the CLI's ``disasm``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DeltascanError
 # keccak256 is not called here (code_hash is SHA-256), but stays importable
@@ -23,6 +33,7 @@ __all__ = [
     "Instruction",
     "Program",
     "OPCODES",
+    "BYTE_MNEMONICS",
     "strip_metadata",
     "disassemble",
     "reserialize",
@@ -38,22 +49,6 @@ class Opcode:
     byte_value: int
     immediate_len: int = 0
     is_defined: bool = True
-
-    @property
-    def is_jumpi(self) -> bool:
-        return self.byte_value == 0x57
-
-    @property
-    def is_external_call(self) -> bool:
-        return self.byte_value in (0xF1, 0xF2, 0xF4, 0xFA)
-
-    @property
-    def is_sload(self) -> bool:
-        return self.byte_value == 0x54
-
-    @property
-    def is_sstore(self) -> bool:
-        return self.byte_value == 0x55
 
 
 # (byte, mnemonic)
@@ -100,12 +95,14 @@ def _build_table() -> tuple:
 
 OPCODES: tuple = _build_table()
 MNEMONICS: dict = {op.mnemonic: op for op in OPCODES if op.is_defined}
+# the mnemonic of each opcode byte
+BYTE_MNEMONICS: tuple = tuple(op.mnemonic for op in OPCODES)
+# bytes one instruction takes, by its opcode byte
+_STEPS: tuple = tuple(1 + op.immediate_len for op in OPCODES)
 
 
 @dataclass(frozen=True)
 class Instruction:
-    # disassemble() writes these fields straight into __dict__: a field
-    # added here must be set there too (test_evm compares it with __init__)
     offset: int
     opcode: Opcode
     immediate: bytes = b""
@@ -132,14 +129,61 @@ class Instruction:
 
 @dataclass(frozen=True)
 class Program:
-    instructions: tuple
+    """A decoded code body. Instruction ``i`` starts at ``starts[i]`` and
+    has opcode byte ``ops[i]``; both arrays follow from ``code_body``, so
+    programs compare and hash by it alone. ``starts`` is the decoder's own
+    list, read and never changed: a tuple copy of it raised the peak RSS
+    of a benchmark run of ``cmd_embed`` by about 0.8 MB."""
     code_body: bytes
+    starts: list = field(compare=False, repr=False)
+    ops: bytes = field(compare=False, repr=False)
+
+    @property
+    def instructions(self) -> _Instructions:
+        """The instructions, each built when it is read."""
+        return _Instructions(self)
+
+    def instruction(self, i: int) -> Instruction:
+        """Build instruction ``i``: the one place Instructions are made."""
+        pos = self.starts[i]
+        opcode = OPCODES[self.ops[i]]
+        nxt = pos + 1 + opcode.immediate_len
+        return Instruction(pos, opcode, self.code_body[pos + 1:nxt],
+                           nxt > len(self.code_body))
+
+    def push_value(self, i: int) -> int | None:
+        """``instruction(i).push_value``, read from the arrays."""
+        n = self.ops[i] - 0x5F
+        if n == 0:
+            return 0
+        pos = self.starts[i]
+        if 0 < n <= 32 and pos + 1 + n <= len(self.code_body):
+            return int.from_bytes(self.code_body[pos + 1:pos + 1 + n], "big")
+        return None
 
     @cached_property
     def code_hash(self) -> bytes:
         """SHA-256 of the code body (metadata trailer stripped): an
         identity only, so hashlib's C digest serves; not EXTCODEHASH."""
         return hashlib.sha256(self.code_body).digest()
+
+
+class _Instructions(Sequence):
+    """A program's instructions as a sequence whose items are built on
+    each read; its length costs nothing."""
+    __slots__ = ("_program",)
+
+    def __init__(self, program: Program):
+        self._program = program
+
+    def __len__(self) -> int:
+        return len(self._program.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._program.instruction,
+                             range(*i.indices(len(self)))))
+        return self._program.instruction(range(len(self))[i])
 
 
 def _cbor_item_end(blob: bytes, pos: int, depth: int = 0):
@@ -224,27 +268,17 @@ def strip_metadata(code: bytes) -> tuple:
 
 def disassemble(code_body: bytes) -> Program:
     """Decode a metadata-free byte string into a Program. Never fails."""
-    instructions = []
-    # The loop runs once per instruction, thousands of times per contract.
-    # Names are bound to locals, and each frozen Instruction's fields are
-    # written straight into its __dict__: the generated __init__ does the
-    # same with one object.__setattr__ call per field, about 3x slower.
-    append, opcodes = instructions.append, OPCODES
-    new, cls = object.__new__, Instruction
+    starts = []
+    append, steps = starts.append, _STEPS
     pos = 0
     end = len(code_body)
     while pos < end:
-        opcode = opcodes[code_body[pos]]
-        nxt = pos + 1 + opcode.immediate_len
-        ins = new(cls)
-        fields = ins.__dict__
-        fields["offset"] = pos
-        fields["opcode"] = opcode
-        fields["immediate"] = code_body[pos + 1:nxt]
-        fields["truncated"] = nxt > end  # a PUSH running past the end
-        append(ins)
-        pos = nxt
-    return Program(tuple(instructions), code_body)
+        append(pos)
+        pos += steps[code_body[pos]]
+    # itemgetter of one index gives an int, not a tuple of one
+    ops = (bytes(itemgetter(*starts)(code_body)) if len(starts) > 1
+           else code_body[:len(starts)])
+    return Program(code_body, starts, ops)
 
 
 def reserialize(program: Program) -> bytes:

@@ -25,7 +25,7 @@ from .detectors import detect_bypass_reentrancy, map_report, parse_report_file
 from .encoder import (EmbeddingConfig, Vocabulary, embed_contract,
                       embed_function, load_vocabulary, save_vocabulary,
                       train_vocabulary)
-from .encoder.embed import STAGES
+from .encoder.embed import STAGES, tokens_of
 from .encoder.params import init_params
 from .errors import EmptyCorpus
 from .evm import decode_hex
@@ -126,6 +126,7 @@ def _analyze_one(name: str, code: bytes, max_paths: int,
     t0 = time.perf_counter()
     analysis = analyze_contract(code, selectors)
     timings["analysis"] = (time.perf_counter() - t0) * 1e3
+    timings.update(analysis.timings_ms)  # its stages
     t0 = time.perf_counter()
     paths = {}
     hit_cap = 0
@@ -141,9 +142,8 @@ def _contract_corpus(analyzed: _Analyzed) -> list:
     corpus = []
     for i, fn in enumerate(analyzed.analysis.functions):
         for path in analyzed.paths[i]:
-            corpus.append([ins.opcode.mnemonic
-                           for bid in path.blocks
-                           for ins in fn.blocks[bid].instructions])
+            corpus.append(tokens_of(b"".join([fn.blocks[bid].ops
+                                              for bid in path.blocks])))
     return corpus
 
 
@@ -320,7 +320,9 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     recovered = len(selmap.entries) + (
         selmap.fallback_entry is not None
         or (not selmap.entries and bool(a.analysis.blocks)))
-    result.counters = {"paths_truncated": sum(
+    result.counters = {"instructions": len(a.analysis.program.starts),
+                       "dynamic_edges": a.analysis.edges.dynamic_count,
+                       "paths_truncated": sum(
                            e.paths_truncated for e in embeddings),
                        "paths_encoded": stats["paths_encoded"],
                        "paths_capped": a.hit_cap,

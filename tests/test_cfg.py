@@ -4,14 +4,19 @@ import random
 
 import pytest
 
-from deltascan.cfg import (analyze_contract, enumerate_paths, partition_blocks,
+from deltascan.cfg import (_find_selector_patterns, analyze_contract,
+                           enumerate_paths, partition_blocks,
                            recover_functions, resolve_edges)
 from deltascan.detectors import DefectClass, DefectRecord, map_report
+from deltascan.encoder import Vocabulary
 from deltascan.evm import assemble, disassemble
+from deltascan.index import AnnIndex
+from deltascan.pipeline import PipelineConfig, cmd_detect
 from fixtures import (Asm, build_contract, getter_body, loop_body,
                       make_corpus, setter_body, vulnerable_mint_body)
 from oracles.keccak_ref import keccak256 as keccak_ref
 from oracles.partition_ref import partition as partition_ref
+from oracles.selector_ref import find_selector_patterns as selectors_ref
 
 
 def _blocks(code_hex):
@@ -68,7 +73,7 @@ def test_dynamic_jump_over_approximates_to_all_jumpdests():
 
 def test_no_dispatcher_yields_anonymous_function():
     blocks = _blocks("00")
-    selmap, functions = recover_functions(blocks, set())
+    selmap, functions = recover_functions(blocks, resolve_edges(blocks))
     assert selmap.entries == {}
     (fn,) = functions
     assert fn.selector is None
@@ -381,13 +386,9 @@ def test_gated_analysis_carves_exactly_the_gated_functions():
     assert carved > 150
 
 
-def test_short_push_selector_is_recovered_and_maps():
-    """solc pushes a selector at its minimal width: 0x00fdd58e is compared
-    as PUSH3 0xfdd58e, and must still be recovered."""
-    signature = "balanceOf(address,uint256)"
-    selector = keccak_ref(signature.encode())[:4]
-    assert selector.hex() == "00fdd58e"
-    other = keccak_ref(b"approve(address,uint256)")[:4]
+def _short_push_code(selector, other):
+    """A dispatcher that compares ``selector`` (whose first byte is 0) as
+    a PUSH3 and ``other`` as a PUSH4."""
     a = Asm()
     a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
     a.op("DUP1").op("PUSH3", selector[1:]).op("EQ")
@@ -399,7 +400,17 @@ def test_short_push_selector_is_recovered_and_maps():
     getter_body(1)(a, "short")
     a.label("wide")
     setter_body(2)(a, "wide")
-    analysis = analyze_contract(a.assemble())
+    return a.assemble()
+
+
+def test_short_push_selector_is_recovered_and_maps():
+    """solc pushes a selector at its minimal width: 0x00fdd58e is compared
+    as PUSH3 0xfdd58e, and must still be recovered."""
+    signature = "balanceOf(address,uint256)"
+    selector = keccak_ref(signature.encode())[:4]
+    assert selector.hex() == "00fdd58e"
+    other = keccak_ref(b"approve(address,uint256)")[:4]
+    analysis = analyze_contract(_short_push_code(selector, other))
     assert set(analysis.selector_map.entries) == {selector, other}
     selectors = [fn.selector for fn in analysis.functions]
     assert selector in selectors and other in selectors
@@ -410,3 +421,59 @@ def test_short_push_selector_is_recovered_and_maps():
         analysis.program.code_hash, analysis.selector_map)})
     assert unmapped == []
     assert [m.function_id for m in mapped] == [fn.function_id]
+
+
+def test_selector_patterns_match_the_instruction_oracle():
+    """The byte-based matcher finds the (selector, dest) pairs that the
+    Instruction-based one found, on every block: the fixture corpus, the
+    short-push dispatcher, pushes cut off by the end of code, and random
+    bytes drawn mostly from the opcodes a selector check is made of."""
+    check = bytes.fromhex("80630a0b0c0d14610102" "57")  # DUP1 PUSH4 EQ PUSH2 JUMPI
+    truncated = [check + bytes([0x5F + n]) + b"\xee" * (n - 1)
+                 for n in range(1, 5)]  # PUSH1-4 missing their last byte
+    truncated += [bytes([0x5F + n]) + b"\xee" * (n - 1) for n in range(1, 5)]
+    truncated += [check[:-4] + bytes([0x5F + n]) + b"\x01" * (n - 1)
+                  for n in range(1, 5)]  # the dest push cut off
+    rng = random.Random(7)
+    alphabet = [0x60, 0x61, 0x62, 0x63, 0x5F, 0x7F, 0x80, 0x81, 0x90, 0x14,
+                0x57, 0x56, 0x5B, 0x00]
+    noise = [bytes(rng.choice(alphabet) if rng.random() < 0.8
+                   else rng.randrange(256) for _ in range(rng.randrange(1, 120)))
+             for _ in range(200)]
+    short = _short_push_code(bytes.fromhex("00fdd58e"),
+                             bytes.fromhex("095ea7b3"))
+    found = 0
+    for code in _fixture_codes() + [short] + truncated + noise:
+        for block in partition_blocks(disassemble(code)):
+            want = selectors_ref(block.instructions)
+            assert _find_selector_patterns(block) == want, code.hex()
+            found += len(want)
+    assert found > 100
+
+
+@pytest.mark.parametrize("code, expected", [
+    (assemble("CALLDATALOAD\nJUMP\nJUMPDEST\nSTOP\nJUMPDEST\nSTOP"), 2),
+    (_fan_out(10), 11 * 11),  # 11 dynamic JUMPs to 11 JUMPDEST blocks
+    (assemble("CALLDATALOAD\nPUSH1 0x07\nJUMPI\nPUSH1 0x0b\nJUMP\n"
+              "JUMPDEST\nPUSH1 0x0b\nJUMP\nJUMPDEST\nSTOP"), 0),
+])
+def test_scan_counts_instructions_dynamic_edges_and_stage_times(
+        code, expected, tmp_path, params):
+    """A detect line counts the contract's instructions and its
+    over-approximated edges, and times the four front-end stages within
+    ``analysis``."""
+    path = tmp_path / "contract.bin"
+    path.write_bytes(code)
+    index = AnnIndex(params.config.block_dim)  # empty: nothing is embedded
+    vocab = Vocabulary({}, params.config.word_dim, b"\0" * 32)
+    (result,) = cmd_detect(PipelineConfig(), [str(path)], index=index,
+                           vocab=vocab, params=params)
+    assert result.error is None
+    edges = resolve_edges(partition_blocks(disassemble(code)))
+    assert result.counters["dynamic_edges"] == expected == sum(
+        e.dynamic for e in edges)
+    assert result.counters["instructions"] == len(disassemble(code).starts)
+    stages = [result.timings_ms[name]
+              for name in ("decode", "blocks", "edges", "functions")]
+    assert all(ms >= 0 for ms in stages)
+    assert sum(stages) <= result.timings_ms["analysis"]

@@ -392,13 +392,17 @@ def test_memo_hits_give_the_bits_of_embed_function(small_vocab, config,
 def _swap_opcode(fn, block_id, position, mnemonic):
     """``fn`` with one instruction's opcode replaced by ``mnemonic``."""
     from dataclasses import replace
-    from deltascan.evm import OPCODES
+    from deltascan.evm import OPCODES, disassemble
     opcode = next(op for op in OPCODES if op.mnemonic == mnemonic)
     block = fn.blocks[block_id]
-    instructions = list(block.instructions)
-    instructions[position] = replace(instructions[position], opcode=opcode)
+    i = block.lo + position
+    code = bytearray(block.program.code_body)
+    code[block.program.starts[i]] = opcode.byte_value
+    program = disassemble(bytes(code))
+    assert program.starts == block.program.starts
+    assert program.instruction(i).opcode == opcode
     blocks = list(fn.blocks)
-    blocks[block_id] = replace(block, instructions=tuple(instructions))
+    blocks[block_id] = replace(block, program=program)
     return replace(fn, blocks=tuple(blocks))
 
 

@@ -8,7 +8,7 @@ import pytest
 from deltascan.cfg import partition_blocks
 from deltascan.encoder.embed import _block_tokens
 from deltascan.errors import DeltascanError
-from deltascan.evm import (MNEMONICS, OPCODES, Instruction, Program, assemble,
+from deltascan.evm import (MNEMONICS, OPCODES, Instruction, assemble,
                            disassemble, parse_hex_input, reserialize,
                            strip_metadata)
 from fixtures import (MINT_SIGNATURE, build_contract, getter_body,
@@ -79,7 +79,7 @@ def test_round_trip_random_bytestrings():
         assert reserialize(disassemble(blob)) == blob
 
 
-def _reference_disassemble(code_body: bytes) -> Program:
+def _reference_disassemble(code_body: bytes) -> tuple:
     """The plain loop: each Instruction built through its constructor."""
     instructions = []
     pos = 0
@@ -89,13 +89,19 @@ def _reference_disassemble(code_body: bytes) -> Program:
         instructions.append(Instruction(pos, opcode, immediate,
                                         len(immediate) < opcode.immediate_len))
         pos += 1 + len(immediate)
-    return Program(tuple(instructions), code_body)
+    return tuple(instructions)
 
 
 def _assert_same_program(code_body: bytes):
     got, want = disassemble(code_body), _reference_disassemble(code_body)
-    assert got == want
-    for a, b in zip(got.instructions, want.instructions):
+    assert got.code_body == code_body
+    assert len(got.instructions) == len(want)
+    assert tuple(got.instructions) == want
+    assert got.starts == [b.offset for b in want]
+    assert got.ops == bytes(b.opcode.byte_value for b in want)
+    assert [got.push_value(i) for i in range(len(want))] == \
+        [b.push_value for b in want]
+    for a, b in zip(got.instructions, want):
         assert type(a) is Instruction
         assert type(a.immediate) is type(b.immediate)
         assert hash(a) == hash(b)

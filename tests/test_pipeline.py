@@ -561,6 +561,39 @@ def test_detect_enumerates_paths_of_indexed_selectors_only(
     assert res.counters["functions_gated"] == 3
 
 
+def test_scan_path_builds_no_instruction_object(mixed_index, mixed_inputs,
+                                                tmp_path, monkeypatch):
+    """The front end, path enumeration, cmd_detect and cmd_embed read
+    opcode bytes only, so they build no Instruction for any block, carved
+    or not; reading a block's instructions builds exactly that block's."""
+    from deltascan.evm import Program
+    config, _ = mixed_index
+    target = tmp_path / "mixed.bin"
+    target.write_bytes(_mixed_contract())
+    built = []
+    build = Program.instruction
+
+    def spy(program, i):
+        built.append(i)
+        return build(program, i)
+    monkeypatch.setattr(Program, "instruction", spy)
+    gate = {signature_selector(MINT), signature_selector(APPROVE)}
+    analysis = analyze_contract(_mixed_contract(), gate)
+    assert len(analysis.functions) == 2
+    assert len(analysis.program.instructions) == len(analysis.program.ops)
+    for fn in analysis.functions:
+        assert enumerate_paths(fn).paths
+    (res,) = cmd_detect(config, [str(target)])
+    assert res.error is None and res.counters["functions_embedded"] == 2
+    cmd_embed(replace(config, index_path=str(tmp_path / "again.idx")),
+              mixed_inputs)
+    assert built == []
+    block = analysis.functions[0].blocks[-1]
+    offsets = [ins.offset for ins in block.instructions]
+    assert built == list(range(block.lo, block.hi))
+    assert offsets == analysis.program.starts[block.lo:block.hi]
+
+
 def test_embed_enumerates_paths_once(built_index, corpus_dir, tmp_path,
                                      monkeypatch):
     """The detector reuses the paths cmd_embed already holds: it
