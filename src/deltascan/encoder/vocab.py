@@ -120,8 +120,11 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
     w_in = ((rng.random((vocab_size, dim), dtype=np.float32) - 0.5) / dim)
     w_out = np.zeros((vocab_size, dim), dtype=np.float32)
 
+    # the narrowest unsigned ids: the stable argsorts of ``_add_rows`` then
+    # take numpy's radix sort
+    id_type = np.min_scalar_type(vocab_size - 1)
     ids = np.fromiter((index[t] for t in chain.from_iterable(sequences)),
-                      dtype=np.int64)
+                      dtype=id_type)
     lengths = np.fromiter(map(len, sequences), dtype=np.int64)
     centers, contexts = _window_pairs(ids, lengths, config.window)
     if centers.size > _MAX_PAIRS:
@@ -144,7 +147,8 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
             batch = order[start:start + _BATCH]
             c, o = centers[batch], contexts[batch]
             negatives = cdf.searchsorted(
-                rng.random((batch.size, _NEGATIVES)), side="right")
+                rng.random((batch.size, _NEGATIVES)), side="right"
+            ).astype(id_type)
             lr = np.float32(_BASE_LR * max(0.05, 1.0 - step / total_steps))
             step += 1
 

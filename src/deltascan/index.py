@@ -6,9 +6,19 @@ buckets the functions by selector. The decision rule compares a query
 function with every stored function under its selector, so it never misses
 one within the threshold. Distances are Euclidean.
 
+For the decision rule, each selector's bucket is kept as one array
+(``Bucket``), built on the first decision under the selector and dropped by
+an insert under it: the bucket's distinct functions, a function being the
+exact bytes of its stacked block vectors, stacked end to end, and each
+member function's key with the distinct function it holds. Clones stored
+under many labels are thus compared once per query, and a query is decided
+against its whole bucket in one broadcast. Loading an index builds no
+bucket.
+
 ``AnnIndex`` keeps its name although nothing approximate is left: the
 benchmark's tracer (``bench/spans.py``) hooks ``index.AnnIndex`` by name,
-so the rename waits for a change to the benchmark.
+and its ``insert``, ``query`` and ``function_entries``, so these stay until
+a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from .detectors import DefectClass
 from .encoder.embed import FunctionEmbedding
 from .errors import CorruptFile, DimensionMismatch
 
-__all__ = ["EntryLabel", "IndexEntry", "AnnIndex", "Finding", "decide_similar",
-           "save_index", "load_index"]
+__all__ = ["EntryLabel", "IndexEntry", "Bucket", "AnnIndex", "Finding",
+           "decide_similar", "save_index", "load_index"]
 
 _MAGIC = b"DSIX"
 # 3: the sequence encoder computes exact softmax attention. Stored vectors
@@ -70,6 +80,18 @@ class Finding:
         return max(self.block_distances)
 
 
+@dataclass(frozen=True)
+class Bucket:
+    """The stored functions under one selector, as the decision rule reads
+    them: ``stack`` holds the block vectors of each distinct function end
+    to end, the one starting at row ``starts[g]`` being distinct function
+    ``g``; ``members`` maps each stored function's key, in insertion
+    order, to its distinct function."""
+    stack: np.ndarray        # (rows, dim)
+    starts: np.ndarray       # (distinct functions,)
+    members: dict            # function_key -> distinct function
+
+
 class AnnIndex:
     """Exact store of labeled block vectors, grouped by function, with the
     functions bucketed by selector."""
@@ -79,7 +101,7 @@ class AnnIndex:
         self.entries: list = []           # IndexEntry, in insertion order
         self._groups: dict = {}           # function_key -> [entry positions]
         self._by_selector: dict = {}      # selector -> [function keys]
-        self._stacks: dict = {}           # function_key -> stacked vectors
+        self._buckets: dict = {}          # selector -> Bucket, built on use
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -89,12 +111,15 @@ class AnnIndex:
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {vec.shape} != ({self.dim},)")
         label = entry.label
-        if label.function_key not in self._groups:
-            self._groups[label.function_key] = []
+        positions = self._groups.get(label.function_key)
+        if positions is None:
+            positions = self._groups[label.function_key] = []
             self._by_selector.setdefault(label.selector, []).append(
                 label.function_key)
-        self._groups[label.function_key].append(len(self.entries))
-        self._stacks.pop(label.function_key, None)
+        # a function stays under the selector of its first entry
+        self._buckets.pop(self.entries[positions[0]].label.selector
+                          if positions else label.selector, None)
+        positions.append(len(self.entries))
         self.entries.append(IndexEntry(vec, label))
 
     def query(self, vector, k: int = 1) -> list:
@@ -125,47 +150,75 @@ class AnnIndex:
     def function_entries(self, function_key) -> list:
         return [self.entries[i] for i in self._groups.get(function_key, ())]
 
+    def bucket(self, selector) -> Bucket | None:
+        """The stored functions under ``selector`` as one ``Bucket``, built
+        on first use and again after an insert under the selector; None
+        when the index holds none."""
+        bucket = self._buckets.get(selector)
+        if bucket is None and selector in self._by_selector:
+            distinct, stacks, members = {}, [], {}
+            for key in self._by_selector[selector]:
+                stack = np.stack([e.vector for e in self.function_entries(key)])
+                group = distinct.setdefault(stack.tobytes(), len(stacks))
+                if group == len(stacks):
+                    stacks.append(stack)
+                members[key] = group
+            starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
+            bucket = self._buckets[selector] = Bucket(
+                np.concatenate(stacks), starts, members)
+        return bucket
+
     def function_vectors(self, function_key) -> np.ndarray:
         """The block vectors of a stored function as one (blocks, dim)
-        array, stacked on first use and again after an insert into it."""
-        stack = self._stacks.get(function_key)
-        if stack is None:
-            stack = self._stacks[function_key] = np.stack(
-                [e.vector for e in self.function_entries(function_key)])
-        return stack
+        view into its selector's bucket."""
+        positions = self._groups[function_key]
+        bucket = self.bucket(self.entries[positions[0]].label.selector)
+        start = bucket.starts[bucket.members[function_key]]
+        return bucket.stack[start:start + len(positions)]
 
 
 def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,
-                   threshold: float = 0.1, nearest: dict | None = None) -> list:
+                   threshold: float = 0.1, nearest: dict | None = None,
+                   stats: dict | None = None) -> list:
     """Decision rule: a stored defective function matches when its
     selector equals the query's and every query block vector has a stored
     block vector within ``threshold`` (greedy nearest, with replacement).
-    Every stored function under the query's selector is compared. When
-    ``nearest`` is given, it keeps under the query's selector the smallest
-    max block distance of any stored function compared, matched or not."""
+    Every stored function under the query's selector is compared; a
+    function stored under several labels is compared once, and each label
+    gets a finding. When ``nearest`` is given, it keeps under the query's
+    selector the smallest max block distance of any stored function
+    compared, matched or not. When ``stats`` is given, its
+    ``functions_compared`` grows by the distinct stored functions
+    compared."""
     if not threshold > 0:  # NaN too
         raise ValueError("threshold must be positive")
     if not query_fn.block_vectors or query_fn.selector is None:
         return []  # selector gate: anonymous functions cannot match labels
+    bucket = index.bucket(query_fn.selector)
+    if bucket is None:
+        return []
 
-    findings = []
     query = np.stack(query_fn.block_vectors)[:, None, :]
-    for key in index.function_keys(query_fn.selector):
-        diff = index.function_vectors(key)[None, :, :] - query  # (Q, S, D)
-        distances = [float(d) for d in
-                     np.sqrt((diff * diff).sum(axis=2).min(axis=1))]
-        farthest = max(distances)
-        if nearest is not None:
-            nearest[query_fn.selector] = min(
-                nearest.get(query_fn.selector, farthest), farthest)
-        if farthest <= threshold:
-            findings.append(Finding(
-                query_function_id=query_fn.function_id,
-                matched_contract=key[0],
-                matched_function=key[1],
-                defect_class=key[2],
-                block_distances=tuple(distances),
-                decision_threshold=threshold))
+    diff = bucket.stack[None, :, :] - query                    # (Q, rows, D)
+    closest = np.minimum.reduceat((diff * diff).sum(axis=2), bucket.starts,
+                                  axis=1)                      # (Q, distinct)
+    distances = np.sqrt(closest).T.tolist()
+    farthest = [max(d) for d in distances]
+    if stats is not None:
+        stats["functions_compared"] = (stats.get("functions_compared", 0)
+                                       + len(farthest))
+    if nearest is not None:
+        nearest[query_fn.selector] = min(
+            nearest.get(query_fn.selector, farthest[0]), *farthest)
+    matched = {g: tuple(distances[g]) for g, d in enumerate(farthest)
+               if d <= threshold}
+    findings = [Finding(query_function_id=query_fn.function_id,
+                        matched_contract=key[0],
+                        matched_function=key[1],
+                        defect_class=key[2],
+                        block_distances=matched[g],
+                        decision_threshold=threshold)
+                for key, g in bucket.members.items() if g in matched]
     findings.sort(key=lambda f: (f.max_block_distance, f.matched_contract,
                                  f.matched_function))
     return findings

@@ -306,10 +306,11 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
     result.timings_ms.update((name, stats[name]) for name in STAGES)
     t0 = time.perf_counter()
-    nearest = {}
+    nearest, compared = {}, {"functions_compared": 0}
     for emb in embeddings:
         result.findings.extend(decide_similar(
-            emb, index, threshold=config.threshold, nearest=nearest))
+            emb, index, threshold=config.threshold, nearest=nearest,
+            stats=compared))
     result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
     result.nearest = {"0x" + selector.hex(): distance
                       for selector, distance in nearest.items()}
@@ -330,7 +331,8 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                            e.fallback_blocks for e in embeddings),
                        "functions_embedded": len(embeddings),
                        "functions_reused": stats["functions_reused"],
-                       "functions_gated": recovered - len(embeddings)}
+                       "functions_gated": recovered - len(embeddings),
+                       **compared}
     return result
 
 

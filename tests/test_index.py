@@ -11,6 +11,7 @@ from deltascan.encoder.vocab import (Vocabulary, load_vocabulary,
 from deltascan.errors import CorruptFile, DimensionMismatch
 from deltascan.index import (AnnIndex, EntryLabel, IndexEntry, decide_similar,
                              load_index, save_index)
+from oracles.decide_ref import decide_ref
 
 DIM = 128
 
@@ -399,3 +400,167 @@ def test_decide_similar_distances_are_those_of_a_per_block_loop():
                                                     block_id=10 + grow)))
     (c0,) = [f for f in findings if f.matched_contract == "C0"]
     assert c0.block_distances[8] == 0.0
+
+
+def _bits(distances) -> tuple:
+    return tuple(float(d).hex() for d in distances)
+
+
+def _assert_decides_as_the_oracle(query, index, threshold, nearest=()):
+    """Findings (labels, order, ``block_distances`` bits) and ``nearest``
+    equal to those of the per-function loop, from the same starting
+    ``nearest``."""
+    records = [(e.label.function_key, e.label.selector, e.vector)
+               for e in index.entries]
+    got_nearest, want_nearest = dict(nearest), dict(nearest)
+    got = decide_similar(query, index, threshold, nearest=got_nearest)
+    want = decide_ref(list(query.block_vectors), query.selector, records,
+                      threshold, want_nearest)
+    assert [(f.matched_contract, f.matched_function, f.defect_class,
+             _bits(f.block_distances)) for f in got] == \
+        [(c, fn, d, _bits(b)) for c, fn, d, b in want]
+    assert all(f.query_function_id == query.function_id
+               and f.decision_threshold == threshold for f in got)
+    assert {s: d.hex() for s, d in got_nearest.items()} == \
+        {s: d.hex() for s, d in want_nearest.items()}
+    return got
+
+
+def _clone_heavy_index(vectors, seed=5):
+    """A clone-heavy mint bucket: the first two blocks of ``vectors`` as
+    one function stored under 12 contracts, each twice (two defect
+    classes, so contract and function tie), next to single-label
+    functions of other vectors, one at the clones' distance from any
+    query, and the same clone vectors under another selector."""
+    rng = np.random.default_rng(seed)
+    index = AnnIndex(DIM)
+    clone = vectors[:2]
+    for i in range(12):
+        for defect in (DefectClass.BypassAuthReentrancy,
+                       DefectClass.WeakAuthValidation):
+            for b, vec in enumerate(clone):
+                index.insert(IndexEntry(vec, _label(
+                    contract=f"clone{i % 7}", ref=f"f{i}", block_id=b,
+                    defect=defect)))
+        if i % 4 == 0:  # interleave other functions
+            for b in range(1 + i // 4):
+                index.insert(IndexEntry(vectors[2 + i // 4 + b], _label(
+                    contract=f"other{i}", block_id=b)))
+    index.insert(IndexEntry(clone[0], _label(contract="twin", ref="z")))
+    index.insert(IndexEntry(clone[1], _label(contract="twin", ref="z",
+                                             block_id=1)))
+    for b, vec in enumerate(clone):
+        index.insert(IndexEntry(vec, _label(contract="elsewhere", block_id=b,
+                                            selector=b"\x01\x02\x03\x04")))
+    index.insert(IndexEntry(rng.standard_normal(DIM).astype(np.float32),
+                            _label(contract="noise")))
+    return index
+
+
+def test_decide_similar_equals_the_per_function_loop_on_clone_buckets():
+    """Many labels over one function's vectors, with ties in distance,
+    contract and function, against the per-function loop: at a tight
+    threshold, a mid one and ``inf``, from an empty and a preset
+    ``nearest``."""
+    vectors = _clustered(12, seed=11, centers=3)
+    index = _clone_heavy_index(vectors)
+    mint = b"\x40\xc1\x0f\x19"
+    assert len(index.bucket(mint).starts) == 5 < len(index.function_keys(mint))
+    queries = [FunctionEmbedding((b"q", mint), mint, tuple(vectors[:2])),
+               FunctionEmbedding((b"q", mint), mint, tuple(vectors[:1])),
+               FunctionEmbedding((b"q", mint), mint, tuple(vectors[1:8]))]
+    for query in queries:
+        for threshold in (1e-6, 2.0, 6.0, float("inf")):
+            for nearest in ((), {mint: 0.25}, {mint: 1e9}):
+                _assert_decides_as_the_oracle(query, index, threshold,
+                                              nearest)
+    findings = _assert_decides_as_the_oracle(queries[0], index, 1e-6)
+    assert len(findings) == 25  # 24 clone labels and the twin
+    assert len({id(f.block_distances) for f in findings}) == 1
+
+
+def test_decide_similar_equals_the_per_function_loop_after_inserts():
+    """An insert after a decide rebuilds the selector's bucket: a clone
+    that gains a block leaves its group, a new label joins one, and a
+    new selector gets a bucket of its own."""
+    vectors = _clustered(12, seed=12, centers=3)
+    index = _clone_heavy_index(vectors)
+    mint, other = b"\x40\xc1\x0f\x19", b"\x01\x02\x03\x04"
+    query = FunctionEmbedding((b"q", mint), mint, tuple(vectors[:3]))
+    _assert_decides_as_the_oracle(query, index, float("inf"))
+    before = index.bucket(mint)
+    index.insert(IndexEntry(vectors[2], _label(contract="clone3", ref="f3",
+                                               block_id=2)))
+    assert index.bucket(other) is index.bucket(other)  # kept
+    assert index.bucket(mint) is not before
+    _assert_decides_as_the_oracle(query, index, float("inf"))
+    _assert_decides_as_the_oracle(query, index, 3.0)
+    index.insert(IndexEntry(vectors[0], _label(contract="late", block_id=0)))
+    index.insert(IndexEntry(vectors[1], _label(contract="late", block_id=1)))
+    index.insert(IndexEntry(vectors[5], _label(contract="new", selector=b"\x09" * 4)))
+    _assert_decides_as_the_oracle(query, index, float("inf"))
+    for selector in (other, b"\x09" * 4):
+        _assert_decides_as_the_oracle(FunctionEmbedding(
+            (b"q", selector), selector, tuple(vectors[4:7])), index,
+            float("inf"))
+
+
+def test_decide_similar_equals_the_per_function_loop_on_one_and_many():
+    """Buckets of one distinct function of one block, and of 40 distinct
+    functions of 1-5 blocks, queried by 1-9 blocks."""
+    rng = np.random.default_rng(13)
+    vectors = _clustered(200, seed=13)
+    single = AnnIndex(DIM)
+    single.insert(IndexEntry(vectors[0], _label()))
+    many = AnnIndex(DIM)
+    row = 0
+    for i in range(40):
+        for b in range(1 + i % 5):
+            many.insert(IndexEntry(vectors[row], _label(contract=f"C{i}",
+                                                        block_id=b)))
+            row += 1
+    assert len(many.bucket(b"\x40\xc1\x0f\x19").starts) == 40
+    for index in (single, many):
+        for q in range(1, 10):
+            picks = rng.integers(0, len(vectors), size=q)
+            query = _query_fn([])
+            query = FunctionEmbedding(query.function_id, query.selector,
+                                      tuple(vectors[picks]))
+            for threshold in (0.5, 4.0, float("inf")):
+                _assert_decides_as_the_oracle(query, index, threshold)
+
+
+def test_a_clone_bucket_stacks_each_distinct_function_once():
+    """120 labels over 5 distinct functions: the bucket holds each
+    distinct function's blocks once, a label's vectors are a view into
+    it, and the decision rule reports 5 functions compared."""
+    vectors = _clustered(20, seed=14)
+    distinct = [vectors[0:1], vectors[1:3], vectors[3:6], vectors[6:8],
+                vectors[8:9]]
+    index = AnnIndex(DIM)
+    for copy in range(24):
+        for f, blocks in enumerate(distinct):
+            for b, vec in enumerate(blocks):
+                index.insert(IndexEntry(vec, _label(
+                    contract=f"C{copy}", ref=f"f{f}", block_id=b)))
+    mint = b"\x40\xc1\x0f\x19"
+    bucket = index.bucket(mint)
+    assert len(bucket.members) == len(index.function_keys(mint)) == 120
+    assert bucket.starts.tolist() == [0, 1, 3, 6, 8]
+    assert bucket.stack.shape == (9, DIM)
+    key = ("C17", "f2", DefectClass.BypassAuthReentrancy)
+    view = index.function_vectors(key)
+    assert np.shares_memory(view, bucket.stack)
+    assert np.array_equal(view, np.stack(
+        [e.vector for e in index.function_entries(key)]))
+    stats = {}
+    findings = decide_similar(FunctionEmbedding(
+        (b"q", mint), mint, tuple(distinct[2])), index, 1e-6, stats=stats)
+    assert stats == {"functions_compared": 5}
+    assert [f.matched_function for f in findings] == ["f2"] * 24
+    assert [f.matched_contract for f in findings] == sorted(
+        f"C{i}" for i in range(24))
+    decide_similar(FunctionEmbedding((b"q", mint), mint, tuple(distinct[0])),
+                   index, stats=stats)
+    assert stats == {"functions_compared": 10}
+    assert index.bucket(mint) is bucket  # built once

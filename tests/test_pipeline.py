@@ -410,6 +410,13 @@ def test_nearest_same_selector_distance_on_every_embedded_function(
                          config.embedding)
     unbounded = decide_similar(emb, index, float("inf"))
     assert far.nearest[approve] == unbounded[0].max_block_distance
+    # the distinct stored functions of each embedded function's bucket:
+    # the six stored mints are clones, so one of them is compared
+    assert len(index.function_keys(signature_selector(MINT))) == 6
+    for res in (clone, far):
+        assert res.counters["functions_compared"] == sum(
+            len(index.bucket(bytes.fromhex(s[2:])).starts)
+            for s in res.nearest) == len(res.nearest)
 
 
 def _only_function(code, signature, config) -> tuple:
