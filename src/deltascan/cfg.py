@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 import time
-from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .evm import OPCODES, Program
@@ -92,12 +91,12 @@ class Edge:
     dynamic: bool = False
 
 
-class Edges(Set):
+class Edges:
     """A contract's control-flow edges as the front end reads them: per
     block, its ascending distinct successors (``succ``) and its static
     edges as ``{kind: dst}`` (``static``). A dynamic jump's edges to every
     JUMPDEST block are counted, and made into ``Edge`` records only when
-    the set is iterated."""
+    the edges are iterated."""
 
     def __init__(self, succ: list, static: list, dynamic: dict,
                  jumpdests: tuple):
@@ -121,14 +120,6 @@ class Edges(Set):
                 for dst in jumpdests:
                     yield Edge(src, dst, kind, dynamic=True)
 
-    def __contains__(self, edge) -> bool:
-        if not isinstance(edge, Edge) or not 0 <= edge.src < len(self.static):
-            return False
-        if edge.dynamic:
-            return (self._dynamic.get(edge.src) == edge.kind
-                    and edge.dst in self._jumpdests)
-        return self.static[edge.src].get(edge.kind, -1) == edge.dst
-
 
 @dataclass(frozen=True)
 class FunctionCfg:
@@ -148,7 +139,6 @@ class FunctionCfg:
 @dataclass(frozen=True)
 class ExecutionPath:
     blocks: tuple  # block ids, duplicate-free
-    start_positions: tuple  # cumulative instruction offsets
     terminal_reason: str  # natural_exit | all_successors_visited
 
 
@@ -363,19 +353,12 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
     paths = []
     hit_cap = False
 
-    def positions(path):
-        pos, total = [], 0
-        for bid in path:
-            pos.append(total)
-            total += cfg.blocks[bid].instr_count
-        return tuple(pos)
-
     def emit(path, reason):
         nonlocal hit_cap
         if len(paths) == max_paths:
             hit_cap = True
         else:
-            paths.append(ExecutionPath(tuple(path), positions(path), reason))
+            paths.append(ExecutionPath(tuple(path), reason))
 
     # explicit-stack DFS: frames are (block_id, iterator over unvisited succs)
     path = [cfg.entry_block]

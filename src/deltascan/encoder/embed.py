@@ -10,8 +10,13 @@ functions' instruction graphs. A path encodes to the same bits in any
 batch and graph attention is node-local, so every block vector is the same,
 bit for bit, as when its function is embedded alone (``embed_function``).
 
+Tokens are token bytes (``vocab.TOKEN_BYTES``) throughout: a pass
+translates each block's opcode bytes once, and the memo key, the path
+sequences and the word vector rows (``Vocabulary.rows``) of fallback
+blocks and of the sequence-off variants all read those bytes.
+
 A pass first looks each function up by its key (``_function_key``: the
-variant, its blocks' tokens as bytes, successor lists and paths) in a
+variant, its blocks' token bytes, successor lists and paths) in a
 ``memo.EncoderMemo``. A function the memo holds is served from it whole:
 sequence, fusion, graph and pooling are skipped. Each other distinct
 function is embedded once and added to it, and its twins in the pass are
@@ -44,7 +49,6 @@ import numpy as np
 
 from ..cfg import FunctionCfg
 from ..errors import EmptyFunction
-from ..evm import BYTE_MNEMONICS, OPCODES
 from .config import EmbeddingConfig
 from .fusion import fuse_block
 from .graph import (build_instruction_graph, encode_graph, pool_block,
@@ -52,7 +56,7 @@ from .graph import (build_instruction_graph, encode_graph, pool_block,
 from .memo import EncoderMemo
 from .params import EncoderParams
 from .sequence import embed_path, encode_sequences
-from .vocab import Vocabulary
+from .vocab import TOKEN_BYTES, Vocabulary
 
 __all__ = ["FunctionEmbedding", "STAGES", "embed_contract", "embed_function"]
 
@@ -72,39 +76,22 @@ class FunctionEmbedding:
         return self.block_vectors[0].shape[0] if self.block_vectors else 0
 
 
-# each opcode byte mapped to one byte per token: the undefined bytes share
-# 0xFE's, as they share its mnemonic INVALID
-_TOKEN_BYTES = bytes(op.byte_value if op.is_defined else 0xFE
-                     for op in OPCODES)
-
-
-def tokens_of(token_bytes: bytes) -> list:
-    """The mnemonic tokens that opcode (or token) bytes spell."""
-    return list(map(BYTE_MNEMONICS.__getitem__, token_bytes))
-
-
-def _block_tokens(block) -> list:
-    return tokens_of(block.ops)
-
-
-def _word_rows(block, vocab: Vocabulary) -> np.ndarray:
-    return np.stack([vocab.lookup(t) for t in _block_tokens(block)])
-
-
-def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab,
-                   params) -> tuple:
-    """Fused (instr_count, seq_dim) features of each block of one function.
-    With ``encoded_paths`` (one (rows, truncated) per path), a block fuses
-    its slices of the encoded rows of the function's paths; a block with no
-    such slice falls back to its projected word vectors. With
-    ``encoded_paths`` None, every block is its projected word vectors, and
-    the blocks on no path are the fallback ones.
+def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, tokens: tuple,
+                   vocab, params) -> tuple:
+    """Fused (instr_count, seq_dim) features of each block of one function,
+    whose blocks' token bytes are ``tokens``. With ``encoded_paths`` (one
+    (rows, truncated) per path), a block fuses its slices of the encoded
+    rows of the function's paths, each starting where the instructions of
+    the blocks before it on the path end; a block with no such slice falls
+    back to its projected word vectors. With ``encoded_paths`` None, every
+    block is its projected word vectors, and the blocks on no path are the
+    fallback ones.
 
     Returns (fused per block, raw word rows per block or None, paths
     truncated, fallback blocks).
     """
     if encoded_paths is None:
-        word_rows = [_word_rows(block, vocab) for block in cfg.blocks]
+        word_rows = [vocab.rows(t) for t in tokens]
         fused = [(rows @ params.word_to_seq).astype(np.float32)
                  for rows in word_rows]
         on_path = {bid for path in paths for bid in path.blocks}
@@ -113,18 +100,20 @@ def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, vocab,
     truncated = 0
     for (rows, cut), path in zip(encoded_paths, paths):
         truncated += cut
-        for bid, start in zip(path.blocks, path.start_positions):
+        start = 0
+        for bid in path.blocks:
             count = cfg.blocks[bid].instr_count
             if start + count <= len(rows):  # drop those cut by m_max
                 occurrences[bid].append((rows[start:start + count], start))
+            start += count
     fused = []
     fallback = 0
-    for block, occ in zip(cfg.blocks, occurrences):
+    for t, occ in zip(tokens, occurrences):
         if occ:
             fused.append(fuse_block(occ, cfg.avg_block_len, params.config))
         else:
             fallback += 1
-            fused.append((_word_rows(block, vocab) @ params.word_to_seq
+            fused.append((vocab.rows(t) @ params.word_to_seq
                           ).astype(np.float32))
     return fused, None, truncated, fallback
 
@@ -167,7 +156,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
 
     # functions: those the memo holds are served; of the others, each
     # distinct one is embedded once, below
-    block_tokens = [tuple(block.ops.translate(_TOKEN_BYTES)
+    block_tokens = [tuple(block.ops.translate(TOKEN_BYTES)
                           for block in cfg.blocks) for cfg, _ in items]
     keys = [_function_key(cfg, paths, t, use_sequence, use_graph)
             for (cfg, paths), t in zip(items, block_tokens)]
@@ -187,7 +176,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     encoded = dict.fromkeys(k for function in path_keys if function
                             for k in function)  # token bytes -> (rows, cut)
     if encoded:
-        batch = [embed_path(tokens_of(k), vocab, config) for k in encoded]
+        batch = [embed_path(k, vocab, config) for k in encoded]
         out = encode_sequences(batch, params)
         for k, pe, rows in zip(encoded, batch, out):
             encoded[k] = (rows, pe.truncated)
@@ -197,8 +186,8 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     fusions = [_fuse_function(cfg, paths,
                               None if function is None
                               else [encoded[k] for k in function],
-                              vocab, params)
-               for (cfg, paths, _), function in zip(missed.values(),
+                              t, vocab, params)
+               for (cfg, paths, t), function in zip(missed.values(),
                                                     path_keys)]
     marks.append(time.perf_counter())
 

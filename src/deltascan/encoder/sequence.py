@@ -1,6 +1,8 @@
 """Path embedding and the frozen sequence encoder.
 
-The encoder is a 6-layer multi-head attention stack with exact softmax
+A path is embedded from its token bytes (``vocab.TOKEN_BYTES``): the
+vocabulary's row of each of its first m_max tokens, with no padding. The
+encoder is a 6-layer multi-head attention stack with exact softmax
 attention, plus position-wise feed-forward blocks, residual connections,
 and layer normalization. The layers are frozen at their seed, so the
 layer norms have no gain or bias and the feed-forward blocks no biases:
@@ -51,14 +53,11 @@ class PathEmbedding:
         return self.rows.shape[0]
 
 
-def embed_path(tokens: list, vocab: Vocabulary,
+def embed_path(tokens: bytes, vocab: Vocabulary,
                config: EmbeddingConfig) -> PathEmbedding:
-    """Stack the word vectors of the path's first m_max tokens."""
-    tokens, truncated = tokens[:config.m_max], len(tokens) > config.m_max
-    rows = np.zeros((len(tokens), config.word_dim), dtype=np.float32)
-    for row, token in enumerate(tokens):
-        rows[row] = vocab.lookup(token)
-    return PathEmbedding(rows, truncated)
+    """The word vectors of the path's first m_max token bytes."""
+    return PathEmbedding(vocab.rows(tokens[:config.m_max]),
+                         len(tokens) > config.m_max)
 
 
 def _layer_norm(x):

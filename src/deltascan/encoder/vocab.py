@@ -1,9 +1,13 @@
 """Skip-gram opcode embeddings trained from scratch.
 
-Tokens are opcode mnemonics (immediates dropped, PUSH0..PUSH32 distinct).
-Training uses negative sampling with a seeded generator so two runs over
-the same corpus produce byte-identical vectors. Out-of-vocabulary lookups
-return the all-zero vector.
+A token is a token byte: the opcode byte of an instruction, immediates
+dropped (PUSH0..PUSH32 distinct), with the undefined bytes mapped to
+0xFE, as they share its mnemonic INVALID (``TOKEN_BYTES``). A vocabulary
+keeps its vectors by mnemonic, the form its file stores, and reads them
+by token byte through one 256-row table (``Vocabulary.rows``) that gives
+the all-zero vector for a token it does not hold. Training uses negative
+sampling with a seeded generator so two runs over the same corpus produce
+byte-identical vectors.
 """
 
 from __future__ import annotations
@@ -12,13 +16,12 @@ import hashlib
 import logging
 import struct
 import zlib
-from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import CorruptFile, EmptyCorpus
+from ..evm import BYTE_MNEMONICS, MNEMONICS, OPCODES
 from .config import EmbeddingConfig
 
 logger = logging.getLogger(__name__)
@@ -32,32 +35,37 @@ _EPOCHS = 3
 _MAX_PAIRS = 200_000
 _BATCH = 1024
 
+# the token byte of each opcode byte
+TOKEN_BYTES = bytes(op.byte_value if op.is_defined else 0xFE
+                    for op in OPCODES)
+# the corpus digest reads each token as its mnemonic and a NUL
+_DIGEST_PIECES = tuple(m.encode() + b"\x00" for m in BYTE_MNEMONICS)
+
 
 @dataclass(frozen=True)
 class Vocabulary:
-    vectors: dict  # token -> np.ndarray[float32] of word_dim
+    vectors: dict  # mnemonic -> np.ndarray[float32] of word_dim
     word_dim: int
     training_corpus_hash: bytes
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def lookup(self, token: str) -> np.ndarray:
-        vec = self.vectors.get(token)
-        if vec is None:
-            return np.zeros(self.word_dim, dtype=np.float32)
-        return vec
+    def __post_init__(self):
+        table = np.zeros((256, self.word_dim), dtype=np.float32)
+        for byte, token in enumerate(BYTE_MNEMONICS):
+            if token in self.vectors:
+                table[byte] = self.vectors[token]
+        object.__setattr__(self, "_table", table)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
+    def rows(self, tokens: bytes) -> np.ndarray:
+        """One float32 word vector row per token byte (or opcode byte);
+        zeros for a token the vocabulary does not hold."""
+        return self._table[np.frombuffer(tokens, dtype=np.uint8)]
 
 
 def _corpus_hash(corpus) -> bytes:
     digest = hashlib.sha256()
     for sequence in corpus:
-        for token in sequence:
-            digest.update(token.encode("utf-8"))
-            digest.update(b"\x00")
+        digest.update(b"".join(map(_DIGEST_PIECES.__getitem__, sequence)))
         digest.update(b"\x01")
     return digest.digest()
 
@@ -104,15 +112,18 @@ def _add_rows(w, index, rows):
 def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
     """Train skip-gram embeddings over token sequences.
 
-    corpus: list of token lists. Raises EmptyCorpus when no tokens exist.
+    corpus: list of token byte strings (opcode bytes are read as their
+    tokens). Raises EmptyCorpus when no tokens exist.
     """
     sequences = [seq for seq in corpus if seq]
     if not sequences:
         raise EmptyCorpus("no tokens in corpus")
 
-    counts = Counter(chain.from_iterable(sequences))
-    tokens = sorted(counts, key=lambda t: (-counts[t], t))
-    index = {t: i for i, t in enumerate(tokens)}
+    stream = np.frombuffer(b"".join(sequences).translate(TOKEN_BYTES),
+                           dtype=np.uint8)
+    counts = np.bincount(stream, minlength=256)
+    tokens = sorted(np.flatnonzero(counts).tolist(),
+                    key=lambda t: (-counts[t], BYTE_MNEMONICS[t]))
     vocab_size = len(tokens)
     dim = config.word_dim
     rng = np.random.default_rng(config.seed)
@@ -123,8 +134,9 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
     # the narrowest unsigned ids: the stable argsorts of ``_add_rows`` then
     # take numpy's radix sort
     id_type = np.min_scalar_type(vocab_size - 1)
-    ids = np.fromiter((index[t] for t in chain.from_iterable(sequences)),
-                      dtype=id_type)
+    id_of = np.zeros(256, dtype=id_type)
+    id_of[tokens] = np.arange(vocab_size)
+    ids = id_of[stream]
     lengths = np.fromiter(map(len, sequences), dtype=np.int64)
     centers, contexts = _window_pairs(ids, lengths, config.window)
     if centers.size > _MAX_PAIRS:
@@ -132,7 +144,7 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
         keep = (np.arange(_MAX_PAIRS) * stride).astype(np.int64)
         centers, contexts = centers[keep], contexts[keep]
 
-    freq = np.array([counts[t] for t in tokens], dtype=np.float64) ** 0.75
+    freq = counts[tokens].astype(np.float64) ** 0.75
     noise = (freq / freq.sum()) if vocab_size > 1 else np.ones(1)
     # Generator.choice(p=noise) draws through this cdf
     cdf = noise.cumsum()
@@ -166,8 +178,9 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
             _add_rows(w_out, targets.reshape(-1),
                       lambda sel: (flat[sel, None] * vc[sel // width]) * -lr)
 
-    vectors = {t: np.ascontiguousarray(w_in[i], dtype=np.float32)
-               for t, i in index.items()}
+    vectors = {BYTE_MNEMONICS[t]: np.ascontiguousarray(w_in[i],
+                                                       dtype=np.float32)
+               for i, t in enumerate(tokens)}
     logger.info("trained vocabulary: %d tokens, %d training pairs",
                 vocab_size, centers.size)
     return Vocabulary(vectors, dim, _corpus_hash(sequences))
@@ -205,6 +218,8 @@ def load_vocabulary(path) -> Vocabulary:
             pos += 2
             token = data[pos:pos + token_len].decode("utf-8")
             pos += token_len
+            if token not in MNEMONICS:
+                raise CorruptFile(f"unknown token {token!r}")
             raw_vec = data[pos:pos + 4 * dim]
             if len(raw_vec) != 4 * dim:
                 raise CorruptFile("truncated vector record")

@@ -9,6 +9,10 @@ class EmptyCorpus(DeltascanError):
     """Vocabulary training received an empty corpus."""
 
 
+class VocabularyDiverged(DeltascanError):
+    """Vocabulary training gave word vectors that are not finite."""
+
+
 class DimensionMismatch(DeltascanError):
     """Tensor or vector dimensions do not agree with the configuration."""
 

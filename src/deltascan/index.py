@@ -142,11 +142,6 @@ class AnnIndex:
         the selector gate of ``detect``."""
         return self._by_selector.keys()
 
-    def function_keys(self, selector) -> tuple:
-        """Keys of the stored functions under ``selector``, in insertion
-        order; empty when the index holds none."""
-        return tuple(self._by_selector.get(selector, ()))
-
     def function_entries(self, function_key) -> list:
         return [self.entries[i] for i in self._groups.get(function_key, ())]
 
@@ -167,14 +162,6 @@ class AnnIndex:
             bucket = self._buckets[selector] = Bucket(
                 np.concatenate(stacks), starts, members)
         return bucket
-
-    def function_vectors(self, function_key) -> np.ndarray:
-        """The block vectors of a stored function as one (blocks, dim)
-        view into its selector's bucket."""
-        positions = self._groups[function_key]
-        bucket = self.bucket(self.entries[positions[0]].label.selector)
-        start = bucket.starts[bucket.members[function_key]]
-        return bucket.stack[start:start + len(positions)]
 
 
 def decide_similar(query_fn: FunctionEmbedding, index: AnnIndex,

@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .cfg import ContractAnalysis, analyze_contract, enumerate_paths
 from .detectors import detect_bypass_reentrancy, map_report, parse_report_file
 # embed_function is not called here, but stays importable from this
@@ -25,9 +27,9 @@ from .detectors import detect_bypass_reentrancy, map_report, parse_report_file
 from .encoder import (EmbeddingConfig, Vocabulary, embed_contract,
                       embed_function, load_vocabulary, save_vocabulary,
                       train_vocabulary)
-from .encoder.embed import STAGES, tokens_of
+from .encoder.embed import STAGES
 from .encoder.params import init_params
-from .errors import EmptyCorpus
+from .errors import EmptyCorpus, VocabularyDiverged
 from .evm import decode_hex
 from .index import AnnIndex, EntryLabel, IndexEntry, decide_similar, load_index, save_index
 
@@ -139,12 +141,10 @@ def _analyze_one(name: str, code: bytes, max_paths: int,
 
 
 def _contract_corpus(analyzed: _Analyzed) -> list:
-    corpus = []
-    for i, fn in enumerate(analyzed.analysis.functions):
-        for path in analyzed.paths[i]:
-            corpus.append(tokens_of(b"".join([fn.blocks[bid].ops
-                                              for bid in path.blocks])))
-    return corpus
+    """The opcode bytes of each path of each function."""
+    return [b"".join([fn.blocks[bid].ops for bid in path.blocks])
+            for i, fn in enumerate(analyzed.analysis.functions)
+            for path in analyzed.paths[i]]
 
 
 def _load_inputs(inputs) -> tuple:
@@ -170,7 +170,8 @@ class _EmbedPlan:
 
 def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
     """Analyze, detect, map reports, train the vocabulary, and list each
-    function to store once: the work of every encoder variant alike."""
+    function to store once: the work of every encoder variant alike.
+    Raises VocabularyDiverged when a trained word vector is not finite."""
     bytecode_files, report_files = _load_inputs(inputs)
     external_records = []
     report_errors = []
@@ -206,6 +207,11 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
         vocab = train_vocabulary(corpus, config.embedding)
     except EmptyCorpus:
         vocab = Vocabulary({}, config.embedding.word_dim, b"\x00" * 32)
+    diverged = sum(not np.isfinite(v).all() for v in vocab.vectors.values())
+    if diverged:
+        raise VocabularyDiverged(
+            f"{diverged} of {len(vocab.vectors)} word vectors are not "
+            f"finite after training on {sum(map(len, corpus))} path tokens")
 
     to_embed: list = []  # (analyzed, fn index, function_ref, DefectClass)
     for a, i, record in builtin:

@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from deltascan.encoder import EmbeddingConfig, train_vocabulary
 from deltascan.encoder.params import init_params
+from fixtures import token_bytes
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -31,11 +32,11 @@ def params(config):
 
 @pytest.fixture(scope="session")
 def small_vocab(config):
-    corpus = [
+    corpus = [token_bytes(seq) for seq in [
         ["PUSH1", "PUSH1", "ADD", "STOP"],
         ["PUSH1", "SLOAD", "POP", "CALL", "SSTORE", "STOP"],
         ["JUMPDEST", "PUSH1", "MSTORE", "PUSH1", "PUSH1", "RETURN"],
         ["DUP1", "PUSH4", "EQ", "PUSH2", "JUMPI", "REVERT"],
         ["CALLDATALOAD", "SHR", "DUP1", "SWAP1", "JUMP", "JUMPDEST"],
-    ] * 4
+    ]] * 4
     return train_vocabulary(corpus, config)

@@ -58,6 +58,12 @@ class Asm:
         return bytes(out)
 
 
+def token_bytes(mnemonics) -> bytes:
+    """The token bytes that ``mnemonics`` spell: the form the vocabulary
+    and the sequence encoder read."""
+    return bytes(MNEMONICS[m].byte_value for m in mnemonics)
+
+
 def solc_metadata(ipfs_digest: bytes = b"\xaa" * 34) -> bytes:
     """A well-formed solc-style CBOR trailer {ipfs: ..., solc: 0.8.22}."""
     assert len(ipfs_digest) == 34

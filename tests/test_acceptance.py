@@ -28,7 +28,7 @@ from deltascan.encoder.params import init_params
 from deltascan.evm import assemble
 from deltascan.pipeline import PipelineConfig, cmd_detect, cmd_embed
 from fixtures import build_contract, cei_mint_body, make_corpus, \
-    vulnerable_mint_body
+    token_bytes, vulnerable_mint_body
 from oracles.gat_ref import dense_gat
 from oracles.keccak_ref import keccak256 as keccak_ref
 
@@ -125,7 +125,7 @@ def _embed_contract(code, vocab, params, config):
 def test_criterion_04_encoder_determinism():
     config = EmbeddingConfig()  # seed 42
     code = build_contract([("mint(address,uint256)", vulnerable_mint_body(5))])
-    corpus = [["PUSH1", "SLOAD", "CALL", "SSTORE", "STOP"]] * 5
+    corpus = [token_bytes(["PUSH1", "SLOAD", "CALL", "SSTORE", "STOP"])] * 5
     run1 = _embed_contract(code, train_vocabulary(corpus, config),
                            init_params(config), config)
     run2 = _embed_contract(code, train_vocabulary(corpus, config),
@@ -142,14 +142,16 @@ def test_criterion_04_encoder_determinism():
 def test_criterion_05_masking_pooling_graph_oracle():
     config = EmbeddingConfig()
     params = init_params(config)
-    corpus = [["PUSH1", "ADD", "MSTORE", "RETURN", "STOP", "CALL"]] * 5
+    corpus = [token_bytes(["PUSH1", "ADD", "MSTORE", "RETURN", "STOP",
+                           "CALL"])] * 5
     vocab = train_vocabulary(corpus, config)
 
     # path isolation: a longer path poked with 9.0 in the same batch
     # leaves the clean path's rows as they are alone
-    clean = embed_path(["PUSH1", "ADD", "MSTORE", "RETURN"], vocab, config)
-    neighbour = embed_path(["PUSH1", "ADD", "MSTORE", "RETURN"] * 50, vocab,
-                           config).rows.copy()
+    clean = embed_path(token_bytes(["PUSH1", "ADD", "MSTORE", "RETURN"]),
+                       vocab, config)
+    neighbour = embed_path(token_bytes(["PUSH1", "ADD", "MSTORE", "RETURN"]
+                                       * 50), vocab, config).rows.copy()
     neighbour[100:200] = 9.0
     isolation_delta = float(np.abs(
         encode_sequences([clean], params)[0] -

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_single_stop_block():
     blocks = _blocks("00")
     assert len(blocks) == 1
     assert blocks[0].terminator_kind == "stop"
-    assert resolve_edges(blocks) == set()
+    assert list(resolve_edges(blocks)) == []
 
 
 def test_block_cover_property():
@@ -190,19 +191,7 @@ def test_single_block_path_positions():
     fn, paths = _paths_of(b"\x00")
     (p,) = paths
     assert list(p.blocks) == [0]
-    assert list(p.start_positions) == [0]
-
-
-def test_start_positions_are_cumulative_instr_counts():
-    code = build_contract([("transferFrom(address,address,uint256)",
-                            setter_body(4))])
-    analysis = analyze_contract(code)
-    for fn in analysis.functions:
-        for p in enumerate_paths(fn).paths:
-            total = 0
-            for bid, start in zip(p.blocks, p.start_positions):
-                assert start == total
-                total += fn.blocks[bid].instr_count
+    assert p.terminal_reason == "natural_exit"
 
 
 def test_max_paths_cap_and_flag():
@@ -322,7 +311,11 @@ def _analysis_record(code):
         paths = {}
         for cap in (3, 64):
             enum = enumerate_paths(fn, cap)
-            paths[cap] = [[list(p.blocks), list(p.start_positions),
+            # each block's start on the path, as fusion accumulates it
+            paths[cap] = [[list(p.blocks),
+                           list(accumulate((fn.blocks[bid].instr_count
+                                            for bid in p.blocks[:-1]),
+                                           initial=0)),
                            p.terminal_reason] for p in enum.paths]
             paths[cap].append(enum.hit_cap)
         functions.append({
@@ -379,9 +372,10 @@ def test_gated_analysis_carves_exactly_the_gated_functions():
             expected = tuple(fn for fn in full.functions
                              if fn.selector in gate)
             assert gated.functions == expected
-            assert (gated.program, gated.blocks, gated.edges,
+            assert (gated.program, gated.blocks, list(gated.edges),
                     gated.selector_map) == (full.program, full.blocks,
-                                            full.edges, full.selector_map)
+                                            list(full.edges),
+                                            full.selector_map)
             carved += len(expected)
     assert carved > 150
 

@@ -3,6 +3,7 @@ import pytest
 
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.encoder import (embed, embed_contract, embed_function,
+                               embed_path, encode_sequences, fuse_block,
                                train_vocabulary)
 from deltascan.encoder import memo as memo_module
 from deltascan.encoder.params import init_params
@@ -10,7 +11,7 @@ from deltascan.encoder.vocab import Vocabulary
 from deltascan.errors import EmptyFunction
 from fixtures import (MINT_SIGNATURE, build_contract, cei_mint_body,
                       getter_body, loop_body, make_corpus, setter_body,
-                      vulnerable_mint_body)
+                      token_bytes, vulnerable_mint_body)
 from oracles.attention_ref import encode_reference
 
 
@@ -69,6 +70,38 @@ def test_all_variants_yield_block_dim_vectors(small_vocab, params, config):
         for vec in emb.block_vectors:
             assert vec.shape == (config.block_dim,)
             assert np.isfinite(vec).all()
+
+
+def test_start_positions_are_cumulative_instr_counts(small_vocab, params,
+                                                    config, monkeypatch):
+    """Fusion reads each block's slice of an encoded path where the
+    instructions of the blocks before it on the path end."""
+    fused = []
+
+    def record(occurrences, *args):
+        fused.append([(rows.tobytes(), start) for rows, start in occurrences])
+        return fuse_block(occurrences, *args)
+    monkeypatch.setattr(embed, "fuse_block", record)
+    code = build_contract([("transferFrom(address,address,uint256)",
+                            setter_body(4)), ("owner()", loop_body(3))])
+    longest = 0
+    for fn in analyze_contract(code).functions:
+        paths = enumerate_paths(fn).paths
+        longest = max(longest, *(len(p.blocks) for p in paths))
+        expected = [[] for _ in fn.blocks]
+        for p in paths:
+            tokens = b"".join(fn.blocks[bid].ops for bid in p.blocks)
+            (rows,) = encode_sequences(
+                [embed_path(tokens, small_vocab, config)], params)
+            for k, bid in enumerate(p.blocks):
+                start = sum(fn.blocks[b].instr_count for b in p.blocks[:k])
+                count = fn.blocks[bid].instr_count
+                expected[bid].append((rows[start:start + count].tobytes(),
+                                      start))
+        fused.clear()
+        embed_function(fn, paths, small_vocab, params, config)
+        assert fused == [occ for occ in expected if occ]
+    assert longest == 3  # the loop's paths
 
 
 def test_variants_differ_from_full_pipeline(small_vocab, params, config):
@@ -189,8 +222,8 @@ def test_mint_selector_discrimination(params, config):
     corpus = []
     for _, _, code in make_corpus(3, seed=7):
         for fn in analyze_contract(code).functions:
-            corpus += [[ins.opcode.mnemonic for bid in path.blocks
-                        for ins in fn.blocks[bid].instructions]
+            corpus += [token_bytes([ins.opcode.mnemonic for bid in path.blocks
+                                    for ins in fn.blocks[bid].instructions])
                        for path in enumerate_paths(fn).paths]
     vocab = train_vocabulary(corpus, config)
 

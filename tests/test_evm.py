@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from deltascan.cfg import partition_blocks
-from deltascan.encoder.embed import _block_tokens
+from deltascan.encoder.vocab import TOKEN_BYTES
 from deltascan.errors import DeltascanError
-from deltascan.evm import (MNEMONICS, OPCODES, Instruction, assemble,
-                           disassemble, parse_hex_input, reserialize,
-                           strip_metadata)
+from deltascan.evm import (BYTE_MNEMONICS, MNEMONICS, OPCODES, Instruction,
+                           assemble, disassemble, parse_hex_input,
+                           reserialize, strip_metadata)
 from fixtures import (MINT_SIGNATURE, build_contract, getter_body,
                       solc_metadata, vulnerable_mint_body)
 from oracles.cbor_ref import CborError, decode_item
@@ -226,4 +226,5 @@ def test_assemble_helper_round_trips():
 def test_tokens_are_mnemonics():
     # the encoder's tokens: one mnemonic per instruction, immediates dropped
     (block,) = partition_blocks(disassemble(bytes.fromhex("6001600201")))
-    assert _block_tokens(block) == ["PUSH1", "PUSH1", "ADD"]
+    assert [BYTE_MNEMONICS[t] for t in block.ops.translate(TOKEN_BYTES)] \
+        == ["PUSH1", "PUSH1", "ADD"]

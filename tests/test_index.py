@@ -63,13 +63,13 @@ def test_function_keys_by_selector():
     index.insert(_entry([3.0], contract="B"))
     index.insert(_entry([4.0], contract="C", ref="fallback", selector=b""))
     mint = b"\x40\xc1\x0f\x19"
-    assert index.function_keys(mint) == (
+    assert list(index.bucket(mint).members) == [
         ("A", "mint(address,uint256)", DefectClass.BypassAuthReentrancy),
-        ("B", "mint(address,uint256)", DefectClass.BypassAuthReentrancy))
-    assert index.function_keys(b"") == (
-        ("C", "fallback", DefectClass.BypassAuthReentrancy),)
-    assert index.function_keys(b"\x00" * 4) == ()
-    assert index.function_keys(None) == ()
+        ("B", "mint(address,uint256)", DefectClass.BypassAuthReentrancy)]
+    assert list(index.bucket(b"").members) == [
+        ("C", "fallback", DefectClass.BypassAuthReentrancy)]
+    assert index.bucket(b"\x00" * 4) is None
+    assert index.bucket(None) is None
 
 
 def test_selectors_is_a_live_view_of_the_held_selectors():
@@ -465,7 +465,7 @@ def test_decide_similar_equals_the_per_function_loop_on_clone_buckets():
     vectors = _clustered(12, seed=11, centers=3)
     index = _clone_heavy_index(vectors)
     mint = b"\x40\xc1\x0f\x19"
-    assert len(index.bucket(mint).starts) == 5 < len(index.function_keys(mint))
+    assert len(index.bucket(mint).starts) == 5 < len(index.bucket(mint).members)
     queries = [FunctionEmbedding((b"q", mint), mint, tuple(vectors[:2])),
                FunctionEmbedding((b"q", mint), mint, tuple(vectors[:1])),
                FunctionEmbedding((b"q", mint), mint, tuple(vectors[1:8]))]
@@ -532,7 +532,7 @@ def test_decide_similar_equals_the_per_function_loop_on_one_and_many():
 
 def test_a_clone_bucket_stacks_each_distinct_function_once():
     """120 labels over 5 distinct functions: the bucket holds each
-    distinct function's blocks once, a label's vectors are a view into
+    distinct function's blocks once, a label's vectors are its rows of
     it, and the decision rule reports 5 functions compared."""
     vectors = _clustered(20, seed=14)
     distinct = [vectors[0:1], vectors[1:3], vectors[3:6], vectors[6:8],
@@ -545,13 +545,12 @@ def test_a_clone_bucket_stacks_each_distinct_function_once():
                     contract=f"C{copy}", ref=f"f{f}", block_id=b)))
     mint = b"\x40\xc1\x0f\x19"
     bucket = index.bucket(mint)
-    assert len(bucket.members) == len(index.function_keys(mint)) == 120
+    assert len(bucket.members) == 120
     assert bucket.starts.tolist() == [0, 1, 3, 6, 8]
     assert bucket.stack.shape == (9, DIM)
     key = ("C17", "f2", DefectClass.BypassAuthReentrancy)
-    view = index.function_vectors(key)
-    assert np.shares_memory(view, bucket.stack)
-    assert np.array_equal(view, np.stack(
+    start = bucket.starts[bucket.members[key]]
+    assert np.array_equal(bucket.stack[start:start + 3], np.stack(
         [e.vector for e in index.function_entries(key)]))
     stats = {}
     findings = decide_similar(FunctionEmbedding(

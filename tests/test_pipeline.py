@@ -19,7 +19,7 @@ from deltascan.encoder import (EmbeddingConfig, embed, embed_contract,
                                embed_function)
 from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
-from deltascan.errors import DeltascanError
+from deltascan.errors import DeltascanError, VocabularyDiverged
 from deltascan.evm import strip_metadata
 from deltascan.pipeline import (ABLATION_VARIANTS, DEFAULT_THRESHOLDS,
                                 PipelineConfig, cmd_ablate, cmd_detect,
@@ -412,7 +412,7 @@ def test_nearest_same_selector_distance_on_every_embedded_function(
     assert far.nearest[approve] == unbounded[0].max_block_distance
     # the distinct stored functions of each embedded function's bucket:
     # the six stored mints are clones, so one of them is compared
-    assert len(index.function_keys(signature_selector(MINT))) == 6
+    assert len(index.bucket(signature_selector(MINT)).members) == 6
     for res in (clone, far):
         assert res.counters["functions_compared"] == sum(
             len(index.bucket(bytes.fromhex(s[2:])).starts)
@@ -843,6 +843,26 @@ def test_cli_embed_detect_round_trip(tmp_path, corpus_dir, capsys):
     assert len(lines) == 1
     assert lines[0]["findings"]
     assert lines[0]["findings"][0]["max_block_distance"] == 0.0
+
+
+def test_embed_stops_on_a_diverged_vocabulary(tmp_path, capsys):
+    """On a corpus past the trainer's divergence (every weight NaN),
+    embed raises with the cause and writes no file, and the CLI reports
+    it as one error line."""
+    for name, _, code in make_corpus(40, seed=7):
+        (tmp_path / f"{name}.bin").write_bytes(code)
+    inputs = sorted(map(str, tmp_path.glob("*.bin")))
+    idx = tmp_path / "diverged.idx"
+    with pytest.raises(VocabularyDiverged, match=r"^(\d+) of \1 word vectors "
+                       r"are not finite after training on \d+ path tokens$"):
+        cmd_embed(PipelineConfig(index_path=str(idx)), inputs)
+    assert main(["--index", str(idx), "embed", *inputs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "word vectors are not finite" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert [p for p in tmp_path.iterdir() if p.suffix != ".bin"] == []
 
 
 def test_cli_detect_on_a_non_utf8_index_name_is_one_error_line(

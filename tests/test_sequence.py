@@ -7,29 +7,30 @@ from deltascan.encoder import (EmbeddingConfig, embed_path, encode_sequences,
                                PathEmbedding)
 from deltascan.encoder.sequence import _attention_layer, _segment_groups
 from deltascan.errors import DimensionMismatch
+from fixtures import token_bytes
 from oracles.attention_ref import encode_reference
 
 
 def test_embed_path_shape_and_padding(small_vocab, config):
     """A path holds one word-vector row per token and no padding."""
-    pe = embed_path(["PUSH1", "ADD"], small_vocab, config)
+    pe = embed_path(token_bytes(["PUSH1", "ADD"]), small_vocab, config)
     assert pe.rows.shape == (2, config.word_dim)
     assert pe.rows.dtype == np.float32
     assert pe.valid_len == 2
-    np.testing.assert_array_equal(pe.rows[0], small_vocab.lookup("PUSH1"))
-    np.testing.assert_array_equal(pe.rows[1], small_vocab.lookup("ADD"))
+    np.testing.assert_array_equal(pe.rows[0], small_vocab.vectors["PUSH1"])
+    np.testing.assert_array_equal(pe.rows[1], small_vocab.vectors["ADD"])
     assert not pe.truncated
 
 
 def test_embed_path_empty(small_vocab, config):
-    pe = embed_path([], small_vocab, config)
+    pe = embed_path(b"", small_vocab, config)
     assert pe.valid_len == 0
     assert pe.rows.shape == (0, config.word_dim)
     assert not pe.truncated
 
 
 def test_embed_path_truncation(small_vocab, config):
-    tokens = ["ADD"] * (config.m_max + 10)
+    tokens = token_bytes(["ADD"] * (config.m_max + 10))
     pe = embed_path(tokens, small_vocab, config)
     assert pe.valid_len == config.m_max
     assert pe.rows.shape == (config.m_max, config.word_dim)
@@ -37,7 +38,8 @@ def test_embed_path_truncation(small_vocab, config):
 
 
 def test_encode_output_shape(small_vocab, config, params):
-    batch = [embed_path(["PUSH1", "ADD", "STOP"], small_vocab, config)
+    batch = [embed_path(token_bytes(["PUSH1", "ADD", "STOP"]), small_vocab,
+                        config)
              for _ in range(3)]
     out = encode_sequences(batch, params)
     assert len(out) == 3
@@ -47,29 +49,33 @@ def test_encode_output_shape(small_vocab, config, params):
 
 
 def test_identical_paths_encode_identically(small_vocab, config, params):
-    a = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config)
-    b = embed_path(["PUSH1", "SLOAD", "CALL"], small_vocab, config)
-    filler = embed_path(["JUMPDEST", "STOP"], small_vocab, config)
+    a = embed_path(token_bytes(["PUSH1", "SLOAD", "CALL"]), small_vocab,
+                   config)
+    b = embed_path(token_bytes(["PUSH1", "SLOAD", "CALL"]), small_vocab,
+                   config)
+    filler = embed_path(token_bytes(["JUMPDEST", "STOP"]), small_vocab,
+                        config)
     out = encode_sequences([a, filler, b], params)
     np.testing.assert_array_equal(out[0], out[2])
 
 
 def test_determinism(small_vocab, config, params):
-    batch = [embed_path(["DUP1", "PUSH4", "EQ"], small_vocab, config)]
+    batch = [embed_path(token_bytes(["DUP1", "PUSH4", "EQ"]), small_vocab,
+                        config)]
     (o1,) = encode_sequences(batch, params)
     (o2,) = encode_sequences(batch, params)
     assert o1.tobytes() == o2.tobytes()
 
 
 def test_output_holds_valid_rows_only(small_vocab, config, params):
-    pe = embed_path(["PUSH1", "ADD"], small_vocab, config)
+    pe = embed_path(token_bytes(["PUSH1", "ADD"]), small_vocab, config)
     (rows,) = encode_sequences([pe], params)
     assert rows.shape == (2, config.seq_dim)
 
 
 def test_fully_masked_path_is_finite(small_vocab, config, params):
-    empty = embed_path([], small_vocab, config)
-    other = embed_path(["STOP"], small_vocab, config)
+    empty = embed_path(b"", small_vocab, config)
+    other = embed_path(token_bytes(["STOP"]), small_vocab, config)
     out = encode_sequences([empty, other], params)
     assert all(np.isfinite(rows).all() for rows in out)
     assert out[0].shape == (0, config.seq_dim)

@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,40 +8,70 @@ import pytest
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.encoder import (EmbeddingConfig, load_vocabulary,
                                save_vocabulary, train_vocabulary)
-from deltascan.encoder.vocab import _add_rows, _window_pairs
+from deltascan.encoder.vocab import TOKEN_BYTES, _add_rows, _window_pairs
 from deltascan.errors import CorruptFile, EmptyCorpus
-from fixtures import make_corpus
+from deltascan.evm import BYTE_MNEMONICS
+from fixtures import make_corpus, token_bytes
 
 
 def test_single_token_corpus_shape(config):
-    vocab = train_vocabulary([["STOP"]], config)
-    assert "STOP" in vocab
-    assert vocab.lookup("STOP").shape == (64,)
-    assert vocab.lookup("STOP").dtype == np.float32
+    vocab = train_vocabulary([token_bytes(["STOP"])], config)
+    assert "STOP" in vocab.vectors
+    assert vocab.rows(token_bytes(["STOP"]))[0].shape == (64,)
+    assert vocab.rows(token_bytes(["STOP"]))[0].dtype == np.float32
 
 
 def test_oov_returns_zero_vector(config):
-    vocab = train_vocabulary([["STOP", "ADD"]], config)
-    zero = vocab.lookup("NOT_AN_OPCODE")
+    vocab = train_vocabulary([token_bytes(["STOP", "ADD"])], config)
+    zero = vocab.rows(token_bytes(["MUL"]))[0]
     assert zero.shape == (64,)
     assert not zero.any()
-    assert "NOT_AN_OPCODE" not in vocab
+    assert "MUL" not in vocab.vectors
+
+
+def test_rows_read_each_byte_through_its_mnemonic(small_vocab):
+    """Every byte, undefined ones too, reads the vector of its mnemonic,
+    or zeros when the vocabulary does not hold that token."""
+    table = small_vocab.rows(bytes(range(256)))
+    assert table.shape == (256, small_vocab.word_dim)
+    assert table.dtype == np.float32
+    for byte in range(256):
+        row = small_vocab.rows(bytes([byte]))
+        assert row.shape == (1, small_vocab.word_dim)
+        vec = small_vocab.vectors.get(BYTE_MNEMONICS[byte])
+        expected = np.zeros(small_vocab.word_dim, np.float32) \
+            if vec is None else vec
+        assert row[0].tobytes() == table[byte].tobytes() == \
+            expected.tobytes()
+    assert small_vocab.rows(b"").shape == (0, small_vocab.word_dim)
+
+
+def test_undefined_bytes_train_as_invalid(config):
+    """An undefined opcode byte is the token INVALID, as 0xFE is."""
+    raw = train_vocabulary([bytes([0x60, 0x0C, 0x01, 0xEF])], config)
+    mapped = train_vocabulary([bytes([0x60, 0x0C, 0x01, 0xEF])
+                               .translate(TOKEN_BYTES)], config)
+    assert set(raw.vectors) == {"PUSH1", "INVALID", "ADD"}
+    assert raw.training_corpus_hash == mapped.training_corpus_hash
+    for token, vec in raw.vectors.items():
+        assert vec.tobytes() == mapped.vectors[token].tobytes()
 
 
 def test_empty_corpus_raises(config):
     with pytest.raises(EmptyCorpus):
         train_vocabulary([], config)
     with pytest.raises(EmptyCorpus):
-        train_vocabulary([[], []], config)
+        train_vocabulary([b"", b""], config)
 
 
 def test_config_is_required():
     with pytest.raises(TypeError):
-        train_vocabulary([["STOP"]])
+        train_vocabulary([token_bytes(["STOP"])])
 
 
 def test_training_is_deterministic(small_vocab, config):
-    corpus = [["PUSH1", "ADD", "STOP"], ["MLOAD", "PUSH1", "ADD"]] * 3
+    corpus = [token_bytes(["PUSH1", "ADD", "STOP"]),
+              token_bytes(["MLOAD", "PUSH1", "ADD"])] * 3
     v1 = train_vocabulary(corpus, config)
     v2 = train_vocabulary(corpus, config)
     assert v1.training_corpus_hash == v2.training_corpus_hash
@@ -48,20 +80,21 @@ def test_training_is_deterministic(small_vocab, config):
 
 
 def test_different_corpora_have_different_hashes(config):
-    a = train_vocabulary([["ADD", "STOP"]], config)
-    b = train_vocabulary([["MUL", "STOP"]], config)
+    a = train_vocabulary([token_bytes(["ADD", "STOP"])], config)
+    b = train_vocabulary([token_bytes(["MUL", "STOP"])], config)
     assert a.training_corpus_hash != b.training_corpus_hash
 
 
 def test_cooccurring_tokens_correlate(config):
     # PUSH1/ADD always co-occur; XOR lives in disjoint sequences
-    corpus = [["PUSH1", "ADD"]] * 40 + [["XOR", "MLOAD"]] * 40
+    corpus = ([token_bytes(["PUSH1", "ADD"])] * 40
+              + [token_bytes(["XOR", "MLOAD"])] * 40)
     vocab = train_vocabulary(corpus, config)
 
     def cos(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-    push_add = cos(vocab.lookup("PUSH1"), vocab.lookup("ADD"))
-    push_xor = cos(vocab.lookup("PUSH1"), vocab.lookup("XOR"))
+    push_add = cos(vocab.vectors["PUSH1"], vocab.vectors["ADD"])
+    push_xor = cos(vocab.vectors["PUSH1"], vocab.vectors["XOR"])
     assert push_add > push_xor
 
 
@@ -97,6 +130,22 @@ def test_load_rejects_corrupt_files(tmp_path, small_vocab):
         load_vocabulary(tmp_path / "trailing")
 
 
+def test_load_rejects_an_unknown_mnemonic(tmp_path):
+    """A file whose checksum holds but which names a token no opcode has
+    is refused, not read as an out-of-vocabulary token."""
+    path = tmp_path / "one.vocab"
+    for token in (b"STOP", b"NOPE"):
+        payload = (struct.pack("<H", len(token)) + token
+                   + np.ones(2, dtype="<f4").tobytes() + bytes(32))
+        path.write_bytes(b"DSVW" + struct.pack("<HHII", 2, 2, 1,
+                                               zlib.crc32(payload))
+                         + payload)
+        if token == b"STOP":
+            assert list(load_vocabulary(path).vectors) == ["STOP"]
+    with pytest.raises(CorruptFile, match="unknown token"):
+        load_vocabulary(path)
+
+
 def _vocab_digest(vocab) -> str:
     digest = hashlib.sha256()
     for token in sorted(vocab.vectors):
@@ -119,8 +168,8 @@ def test_vocabulary_digest_is_pinned(count, prefix, largest, config):
     corpus = []
     for _, _, code in make_corpus(count, seed=7):
         for fn in analyze_contract(code).functions:
-            corpus += [[ins.opcode.mnemonic for bid in path.blocks
-                        for ins in fn.blocks[bid].instructions]
+            corpus += [token_bytes([ins.opcode.mnemonic for bid in path.blocks
+                                    for ins in fn.blocks[bid].instructions])
                        for path in enumerate_paths(fn).paths]
     with np.errstate(all="ignore"):
         vocab = train_vocabulary(corpus, config)
