@@ -326,9 +326,10 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     selmap = a.analysis.selector_map
     recovered = len(selmap.entries) + (
         selmap.fallback_entry is not None
-        or (not selmap.entries and bool(a.analysis.blocks)))
+        or (not selmap.entries and bool(a.analysis.program.ops)))
     result.counters = {"instructions": len(a.analysis.program.starts),
                        "dynamic_edges": a.analysis.edges.dynamic_count,
+                       "blocks_resolved": a.analysis.edges.resolved_count,
                        "paths_truncated": sum(
                            e.paths_truncated for e in embeddings),
                        "paths_encoded": stats["paths_encoded"],

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +11,17 @@ from deltascan.cfg import (_find_selector_patterns, analyze_contract,
                            recover_functions, resolve_edges)
 from deltascan.detectors import DefectClass, DefectRecord, map_report
 from deltascan.encoder import Vocabulary
-from deltascan.evm import assemble, disassemble
+from deltascan.evm import assemble, disassemble, strip_metadata
 from deltascan.index import AnnIndex
 from deltascan.pipeline import PipelineConfig, cmd_detect
 from fixtures import (Asm, build_contract, getter_body, loop_body,
                       make_corpus, setter_body, vulnerable_mint_body)
+from oracles import edges_ref
 from oracles.keccak_ref import keccak256 as keccak_ref
 from oracles.partition_ref import partition as partition_ref
 from oracles.selector_ref import find_selector_patterns as selectors_ref
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _blocks(code_hex):
@@ -440,7 +444,8 @@ def test_selector_patterns_match_the_instruction_oracle():
     for code in _fixture_codes() + [short] + truncated + noise:
         for block in partition_blocks(disassemble(code)):
             want = selectors_ref(block.instructions)
-            assert _find_selector_patterns(block) == want, code.hex()
+            assert _find_selector_patterns(
+                block.program, block.lo, block.hi) == want, code.hex()
             found += len(want)
     assert found > 100
 
@@ -471,3 +476,103 @@ def test_scan_counts_instructions_dynamic_edges_and_stage_times(
               for name in ("decode", "blocks", "edges", "functions")]
     assert all(ms >= 0 for ms in stages)
     assert sum(stages) <= result.timings_ms["analysis"]
+
+
+def _non_jumpdest_selector_code(good, bad):
+    """A dispatcher whose check for ``bad`` jumps to the start of a block
+    that is no JUMPDEST, where the EVM would revert on entry."""
+    a = Asm()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    a.op("DUP1").op("PUSH4", good).op("EQ").push_label("good").op("JUMPI")
+    a.op("DUP1").op("PUSH4", bad).op("EQ").push_label("bad").op("JUMPI")
+    a.push(0).op("DUP1").op("REVERT")
+    a.label("good")
+    getter_body(1)(a, "good")
+    a.label("bad").push(2).op("SLOAD").op("POP").op("STOP")
+    return a.assemble()
+
+
+def test_selector_checked_into_a_non_jumpdest_block_maps_no_function():
+    """A selector maps to a block only when its check jumps to a JUMPDEST,
+    the rule by which the jump itself gets an edge: a check that lands on
+    another block start yields no entry and no function."""
+    good = keccak_ref(b"approve(address,uint256)")[:4]
+    bad = keccak_ref(b"owner()")[:4]
+    code = _non_jumpdest_selector_code(good, bad)
+    analysis = analyze_contract(code)
+    program, blocks = analysis.program, analysis.blocks
+    check, landing = blocks[1], blocks[4]
+    assert program.push_value(check.hi - 2) == landing.start_offset
+    assert program.ops[landing.lo] != 0x5B
+    assert analysis.selector_map.entries == {good: 3}
+    assert [fn.selector for fn in analysis.functions] == [good, None]
+    assert {(e.src, e.dst, e.kind) for e in analysis.edges
+            if e.src == 1} == {(1, 2, "jumpi_false")}
+    assert analyze_contract(code, {bad}).functions == ()
+
+
+def _edge_cases():
+    """Jumps at offset 0, to offset 0, to a PUSH, to a 0x5B byte inside
+    PUSH data, off the end of code and after PUSH0, and PUSHes cut off by
+    the end of code."""
+    return [bytes.fromhex(h) for h in (
+        "56", "57", "565b00", "575b00", "5b5f56", "5f56", "600056",
+        "5b600056", "6003565b", "60045600", "6002565b00", "61005b56",
+        "600456615b00", "6003575b", "60ff56", "5b6156", "56615b", "5b5b57",
+        "5d56")]
+
+
+def _random_codes(rng, count):
+    """Byte strings of 1-3000 bytes, most bytes drawn from the opcodes that
+    jumps are made of, so that many targets land on JUMPDESTs and many do
+    not."""
+    alphabet = [0x56, 0x57, 0x5B, 0x5F, 0x60, 0x60, 0x61, 0x00, 0x80, 0x15]
+    codes = []
+    for k in range(count):
+        size = rng.randrange(1, 3001 if k % 2 else 300)
+        codes.append(bytes(rng.choice(alphabet) if rng.random() < 0.7
+                           else rng.randrange(256) for _ in range(size)))
+    return codes
+
+
+def test_lazy_edges_equal_the_eager_oracle(monkeypatch):
+    """Blocks and edges resolved on demand, in any order, are those that
+    an eager partition and resolution give: the same block bounds, ``succ``,
+    ``static``, number of edges, iteration order and ``dynamic_count``,
+    which is counted before any block is resolved. Over the fixtures, the
+    bench rounds of seeds 1-3, and random bytes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpora
+    rng = random.Random(29)
+    codes = _fixture_codes() + _edge_cases() + _random_codes(rng, 120) + [
+        _short_push_code(bytes.fromhex("00fdd58e"), bytes.fromhex("095ea7b3")),
+        _non_jumpdest_selector_code(b"\x01\x02\x03\x04", b"\x05\x06\x07\x08")]
+    for seed in (1, 2, 3):
+        codes += [c.code for c in corpora.clones_round(seed)]
+        codes += [c.code for c in corpora.large_round(seed)]
+    dynamic = resolved_targets = 0
+    for code in codes:
+        program = disassemble(strip_metadata(code)[0])
+        bounds = edges_ref.partition(program)
+        ref = edges_ref.Edges(program, bounds)
+        blocks = partition_blocks(program)
+        assert list(zip(blocks.lo, blocks.hi)) == bounds, code.hex()
+        assert [(b.block_id, b.lo, b.hi) for b in blocks] == [
+            (i, lo, hi) for i, (lo, hi) in enumerate(bounds)]
+        edges = resolve_edges(blocks)
+        assert (edges.dynamic_count, edges.resolved_count) == (
+            ref.dynamic_count, 0), code.hex()
+        order = list(range(len(blocks)))
+        rng.shuffle(order)
+        for b in order:
+            assert (edges.succ(b), edges.static(b)) == (
+                ref.succ[b], ref.static[b]), code.hex()
+        assert edges.resolved_count == len(blocks)
+        fresh = resolve_edges(blocks)
+        assert len(fresh) == len(ref)
+        listed = [(e.src, e.dst, e.kind, e.dynamic) for e in fresh]
+        assert listed == list(ref) and sorted(listed) == sorted(ref)
+        dynamic += ref.dynamic_count
+        resolved_targets += sum(kind in ("jump_taken", "jumpi_true")
+                                for out in ref.static for kind in out)
+    assert dynamic > 1000 and resolved_targets > 1000

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import deltascan.cfg as cfg
 import deltascan.pipeline as pipeline
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
@@ -24,11 +25,12 @@ from deltascan.evm import strip_metadata
 from deltascan.pipeline import (ABLATION_VARIANTS, DEFAULT_THRESHOLDS,
                                 PipelineConfig, cmd_ablate, cmd_detect,
                                 cmd_embed, read_bytecode_file)
-from fixtures import (MINT_SIGNATURE as MINT, build_contract, cei_mint_body,
-                      getter_body, loop_body, make_corpus, setter_body,
-                      vulnerable_mint_body)
+from fixtures import (MINT_SIGNATURE as MINT, Asm, build_contract,
+                      cei_mint_body, getter_body, loop_body, make_corpus,
+                      setter_body, vulnerable_mint_body)
 
 APPROVE = "approve(address,uint256)"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -601,6 +603,64 @@ def test_scan_path_builds_no_instruction_object(mixed_index, mixed_inputs,
     assert offsets == analysis.program.starts[block.lo:block.hi]
 
 
+def test_gated_scan_resolves_and_builds_only_spine_and_carved_blocks(
+        tmp_path, monkeypatch):
+    """A gated scan of the large bench round resolves the edges of no
+    block but the dispatcher spine's and the carved functions', as its
+    ``blocks_resolved`` counter says, and builds a BasicBlock for the
+    carved blocks only: never the contract's whole block tuple."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpora
+    contracts, report = corpora.large_index()
+    files = []
+    for contract in contracts:
+        files.append(tmp_path / f"{contract.name}.bin")
+        files[-1].write_bytes(contract.code)
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    config = PipelineConfig(index_path=str(tmp_path / "large.idx"))
+    cmd_embed(config, [*map(str, files), str(tmp_path / "report.json")])
+    artifacts = {"index": pipeline.load_index(config.index_path),
+                 "vocab": pipeline.load_vocabulary(config.vocab_path),
+                 "params": pipeline.init_params(config.embedding)}
+
+    spine, built, analyses = [], [], []
+    find, block, analyze = (cfg._find_selector_patterns, cfg.BasicBlock,
+                            pipeline.analyze_contract)
+
+    def find_spy(program, lo, hi):
+        spine.append(lo)
+        return find(program, lo, hi)
+
+    def block_spy(*args):
+        built.append(args[1:3])
+        return block(*args)
+
+    def analyze_spy(*args):
+        analyses.append(analyze(*args))
+        return analyses[-1]
+    monkeypatch.setattr(cfg, "_find_selector_patterns", find_spy)
+    monkeypatch.setattr(cfg, "BasicBlock", block_spy)
+    monkeypatch.setattr(pipeline, "analyze_contract", analyze_spy)
+    target = tmp_path / "scan.bin"
+    embedded = 0
+    for contract in corpora.large_round(1):
+        target.write_bytes(contract.code)
+        spine.clear()
+        built.clear()
+        (res,) = cmd_detect(config, [str(target)], **artifacts)
+        assert res.error is None
+        analysis = analyses[-1]
+        carved = [(b.lo, b.hi) for fn in analysis.functions
+                  for b in fn.blocks]
+        resolved = res.counters["blocks_resolved"]
+        assert 0 < resolved <= len(set(spine)) + len(carved)
+        assert len(spine) + len(carved) < len(analysis.partition)
+        assert sorted(built) == sorted(carved)
+        assert "blocks" not in vars(analysis)
+        embedded += res.counters["functions_embedded"]
+    assert embedded > 0
+
+
 def test_embed_enumerates_paths_once(built_index, corpus_dir, tmp_path,
                                      monkeypatch):
     """The detector reuses the paths cmd_embed already holds: it
@@ -829,6 +889,42 @@ def test_cli_cfg(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "block 0 0 jump" in out
     assert "edge 0 2 jump_taken" in out
+
+
+def _dynamic_dispatch_code() -> bytes:
+    """Two selectors and a fallback; the second function jumps to a target
+    read from calldata."""
+    a = Asm()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    a.op("DUP1").op("PUSH4", bytes.fromhex("095ea7b3")).op("EQ")
+    a.push_label("approve").op("JUMPI")
+    a.op("DUP1").op("PUSH4", bytes.fromhex("8da5cb5b")).op("EQ")
+    a.push_label("route").op("JUMPI")
+    a.push(0).op("DUP1").op("REVERT")
+    a.label("approve")
+    setter_body(2)(a, "approve")
+    a.label("route").op("JUMPDEST").push(4).op("CALLDATALOAD").op("JUMP")
+    a.op("JUMPDEST").push(1).op("SLOAD").op("POP").op("STOP")
+    return a.assemble()
+
+
+def test_cli_cfg_prints_every_block_and_edge_of_a_dynamic_jump(tmp_path,
+                                                                capsys):
+    """``cfg`` resolves the whole contract: every block, static edge,
+    dynamic edge and function, the lines the eager front end printed."""
+    f = tmp_path / "dynamic.hex"
+    f.write_text(_dynamic_dispatch_code().hex())
+    assert main(["cfg", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "block 0 0 jumpi", "block 1 17 jumpi", "block 2 28 revert",
+        "block 3 32 jumpi", "block 4 40 revert", "block 5 44 stop",
+        "block 6 52 jump", "block 7 57 stop",
+        "edge 0 1 jumpi_false", "edge 0 3 jumpi_true",
+        "edge 1 2 jumpi_false", "edge 1 6 jumpi_true",
+        "edge 3 4 jumpi_false", "edge 3 5 jumpi_true",
+        "edge 6 3 jump_taken", "edge 6 5 jump_taken",
+        "edge 6 6 jump_taken", "edge 6 7 jump_taken",
+        "func 095ea7b3 3", "func 8da5cb5b 6", "func fallback 2"]
 
 
 def test_cli_embed_detect_round_trip(tmp_path, corpus_dir, capsys):
