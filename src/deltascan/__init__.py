@@ -11,9 +11,8 @@ from .cfg import (BasicBlock, ContractAnalysis, Edge, ExecutionPath,
                   FunctionCfg, PathEnumeration, SelectorMap, analyze_contract,
                   enumerate_paths, partition_blocks,
                   recover_functions, resolve_edges)
-from .detectors import (DefectClass, DefectRecord, MappedDefect,
-                        detect_bypass_reentrancy, map_report,
-                        parse_report_file, signature_selector,
+from .detectors import (DefectClass, DefectRecord, detect_bypass_reentrancy,
+                        map_report, parse_report_file, signature_selector,
                         validate_signature)
 from .encoder import (EmbeddingConfig, EncoderParams, FunctionEmbedding,
                       PathEmbedding, Vocabulary, embed_contract,

@@ -469,17 +469,22 @@ def enumerate_paths(cfg: FunctionCfg, max_paths: int = 64) -> PathEnumeration:
 @dataclass(frozen=True)
 class ContractAnalysis:
     program: Program
-    partition: Blocks = field(compare=False, repr=False)  # see ``blocks``
+    blocks: Blocks = field(compare=False, repr=False)
     edges: Edges
     selector_map: SelectorMap  # complete, gated or not
     functions: tuple           # gated: only the functions under the selectors
     # milliseconds of the stages: decode, blocks, edges, functions
     timings_ms: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @cached_property
-    def blocks(self) -> tuple:
-        """Every basic block of the contract, built on the first read."""
-        return tuple(self.partition)
+    @property
+    def function_count(self) -> int:
+        """The functions the contract has, gated or not: one per selector
+        plus the fallback, or else the anonymous function of a non-empty
+        contract without a dispatcher (see ``recover_functions``)."""
+        entries = self.selector_map.entries
+        if not entries:
+            return int(bool(self.blocks))
+        return len(entries) + (self.selector_map.fallback_entry is not None)
 
 
 def analyze_contract(code: bytes, selectors=None) -> ContractAnalysis:

@@ -90,8 +90,9 @@ def _compile_inputs(inputs, compile_cmd: str, work_dir: Path) -> list:
     """Run an external compile command per non-report input; the command's
     stdout must be hex runtime bytecode. `{input}` in the command is replaced
     with the source path. Each output goes to `<hash>/<stem>.bin`, keyed by
-    the resolved source path, so sources sharing a stem stay apart and keep
-    the stem that report mapping matches contracts by."""
+    the resolved source path, so sources sharing a stem do not overwrite
+    each other and keep the stem that report mapping matches contracts by
+    (``embed`` and ``ablate`` refuse two contracts with one name)."""
     work_dir.mkdir(parents=True, exist_ok=True)
     out = []
     for item in inputs:
@@ -258,10 +259,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except DeltascanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (DeltascanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,9 @@
 """Defect labels: the bytecode reentrancy heuristic plus ingestion of
 external detection reports, mapped onto CFG functions via keccak selectors.
 
+The heuristic reads the execution paths the caller enumerated for the
+function; a report record is resolved to its contract's selector once.
+
 Weak Auth Validation and Loose Permission Management have no builtin
 bytecode detector here; they enter the system only through external
 reports (their source-level analysis is out of scope).
@@ -14,14 +17,16 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .cfg import FunctionCfg, enumerate_paths
+from .cfg import FunctionCfg
+# enumerate_paths is not called here, but stays importable from this
+# module: bench/spans.py hooks ``detectors.enumerate_paths``
+from .cfg import enumerate_paths
 from .errors import MalformedSignature, SchemaError
 from .keccak import keccak256
 
 __all__ = [
     "DefectClass",
     "DefectRecord",
-    "MappedDefect",
     "signature_selector",
     "map_report",
     "detect_bypass_reentrancy",
@@ -43,13 +48,6 @@ class DefectRecord:
     source: str = "external_report"  # or builtin_detector
     subtype: str | None = None
     evidence: str | None = None
-
-
-@dataclass(frozen=True)
-class MappedDefect:
-    record: DefectRecord
-    function_id: tuple
-    selector: bytes
 
 
 _ELEMENTARY = re.compile(
@@ -126,17 +124,16 @@ def signature_selector(signature: str) -> bytes:
 def map_report(records: list, selector_maps: dict) -> tuple:
     """Align report records with analyzed contracts.
 
-    ``selector_maps`` maps contract name -> (code_hash, SelectorMap).
-    Returns (mapped, unmapped) where unmapped entries are
+    ``selector_maps`` maps contract name -> SelectorMap. Returns (mapped,
+    unmapped): mapped entries are (record, selector) pairs, unmapped ones
     (record, reason) pairs; no record is dropped.
     """
     mapped, unmapped = [], []
     for record in records:
-        entry = selector_maps.get(record.contract_name)
-        if entry is None:
+        selmap = selector_maps.get(record.contract_name)
+        if selmap is None:
             unmapped.append((record, "unknown contract"))
             continue
-        code_hash, selmap = entry
         try:
             selector = signature_selector(record.function_signature)
         except MalformedSignature as exc:
@@ -145,7 +142,7 @@ def map_report(records: list, selector_maps: dict) -> tuple:
         if selector not in selmap.entries:
             unmapped.append((record, "selector absent"))
             continue
-        mapped.append(MappedDefect(record, (code_hash, selector), selector))
+        mapped.append((record, selector))
     return mapped, unmapped
 
 
@@ -173,23 +170,15 @@ def _events(block) -> list:
     return events
 
 
-def detect_bypass_reentrancy(cfg: FunctionCfg, max_paths: int = 64,
-                             contract_name: str = "", paths=None) -> list:
+def detect_bypass_reentrancy(cfg: FunctionCfg, paths,
+                             contract_name: str) -> list:
     """Flag functions that read storage, make an external call, and only
-    then write one of the keys read before the call (CEI violation). A
-    storage key is the value of the PUSH right before the SLOAD or SSTORE,
-    else unknown (⊤).
-
-    ``paths`` are the function's execution paths when the caller already
-    holds them (``enumerate_paths(cfg, max_paths).paths``); otherwise they
-    are enumerated here."""
-    if not contract_name:
-        code_hash = cfg.function_id[0]
-        contract_name = code_hash.hex()[:16] if code_hash else "anonymous"
+    then write one of the keys read before the call (CEI violation) on one
+    of ``paths``, the function's execution paths
+    (``enumerate_paths(cfg, max_paths).paths``). A storage key is the value
+    of the PUSH right before the SLOAD or SSTORE, else unknown (⊤)."""
     flagged = False
     evidence = None
-    if paths is None:
-        paths = enumerate_paths(cfg, max_paths).paths
     events = [_events(block) for block in cfg.blocks]
     for path in paths:
         pending = set()       # keys SLOADed and not yet written back
@@ -228,8 +217,14 @@ def detect_bypass_reentrancy(cfg: FunctionCfg, max_paths: int = 64,
 
 def parse_report_file(data: bytes) -> tuple:
     """Parse a JSON report file. Returns (records, schema_errors); a record
-    with an unknown defect class fails individually, not the whole file."""
-    payload = json.loads(data.decode("utf-8"))
+    with an unknown defect class fails individually, not the whole file. A
+    file that is not UTF-8 JSON raises SchemaError."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(-1, f"not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(-1, f"not JSON: {exc}") from None
     if not isinstance(payload, list):
         raise SchemaError(-1, "top-level value must be an array")
     records, errors = [], []

@@ -13,7 +13,7 @@ bit for bit, as when its function is embedded alone (``embed_function``).
 Tokens are token bytes (``vocab.TOKEN_BYTES``) throughout: a pass
 translates each block's opcode bytes once, and the memo key, the path
 sequences and the word vector rows (``Vocabulary.rows``) of fallback
-blocks and of the sequence-off variants all read those bytes.
+blocks all read those bytes.
 
 A pass first looks each function up by its key (``_function_key``: the
 variant, its blocks' token bytes, successor lists and paths) in a
@@ -33,11 +33,12 @@ another encoder. ``embed_function`` takes a config too, and refuses one
 that is not equal to ``params.config``.
 
 Ablation switches mirror the detection variants: with the sequence stage
-off, a block's features are its raw word embeddings, projected once (the
-same rows on every path, so there is nothing to fuse); with the graph
-stage off, fused block features are pooled as-is. Pooled vectors whose
-dimension differs from block_dim are mapped up by a fixed seeded projection
-so every variant yields comparable block vectors.
+off, no path is encoded, so every block is a fallback block whose features
+are its projected word vectors; with the graph stage off, fused block
+features are pooled as-is, and with both off, each block's word vectors
+are. Pooled vectors whose dimension differs from block_dim are mapped up
+by a fixed seeded projection so every variant yields comparable block
+vectors.
 """
 
 from __future__ import annotations
@@ -79,23 +80,14 @@ class FunctionEmbedding:
 def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, tokens: tuple,
                    vocab, params) -> tuple:
     """Fused (instr_count, seq_dim) features of each block of one function,
-    whose blocks' token bytes are ``tokens``. With ``encoded_paths`` (one
-    (rows, truncated) per path), a block fuses its slices of the encoded
-    rows of the function's paths, each starting where the instructions of
-    the blocks before it on the path end; a block with no such slice falls
-    back to its projected word vectors. With ``encoded_paths`` None, every
-    block is its projected word vectors, and the blocks on no path are the
-    fallback ones.
+    whose blocks' token bytes are ``tokens``. Given ``encoded_paths``, one
+    (rows, truncated) per path of ``paths`` (none with the sequence stage
+    off), a block fuses its slices of the encoded rows, each starting where
+    the instructions of the blocks before it on the path end; a block with
+    no such slice falls back to its projected word vectors.
 
-    Returns (fused per block, raw word rows per block or None, paths
-    truncated, fallback blocks).
+    Returns (fused per block, paths truncated, fallback blocks).
     """
-    if encoded_paths is None:
-        word_rows = [vocab.rows(t) for t in tokens]
-        fused = [(rows @ params.word_to_seq).astype(np.float32)
-                 for rows in word_rows]
-        on_path = {bid for path in paths for bid in path.blocks}
-        return fused, word_rows, 0, len(cfg.blocks) - len(on_path)
     occurrences = [[] for _ in cfg.blocks]
     truncated = 0
     for (rows, cut), path in zip(encoded_paths, paths):
@@ -115,7 +107,7 @@ def _fuse_function(cfg: FunctionCfg, paths, encoded_paths, tokens: tuple,
             fallback += 1
             fused.append((vocab.rows(t) @ params.word_to_seq
                           ).astype(np.float32))
-    return fused, None, truncated, fallback
+    return fused, truncated, fallback
 
 
 def _function_key(cfg: FunctionCfg, paths, tokens: tuple, use_sequence: bool,
@@ -169,11 +161,11 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
 
     # sequence: every distinct path of the functions to embed, encoded in
     # one call
-    path_keys = [None] * len(missed)  # per function, its paths' tokens
+    path_keys = [()] * len(missed)  # per function, its paths' tokens
     if use_sequence:
         path_keys = [[b"".join([t[bid] for bid in path.blocks])
                       for path in paths] for _, paths, t in missed.values()]
-    encoded = dict.fromkeys(k for function in path_keys if function
+    encoded = dict.fromkeys(k for function in path_keys
                             for k in function)  # token bytes -> (rows, cut)
     if encoded:
         batch = [embed_path(k, vocab, config) for k in encoded]
@@ -183,9 +175,7 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
     marks.append(time.perf_counter())
 
     # fusion: each function's blocks from that function's own paths
-    fusions = [_fuse_function(cfg, paths,
-                              None if function is None
-                              else [encoded[k] for k in function],
+    fusions = [_fuse_function(cfg, paths, [encoded[k] for k in function],
                               t, vocab, params)
                for (cfg, paths, t), function in zip(missed.values(),
                                                     path_keys)]
@@ -203,8 +193,8 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
         per_block = [rows for fused, *_ in fusions for rows in fused]
     else:
         # both stages off: pool raw word embeddings directly
-        per_block = [rows.astype(np.float32)
-                     for _, word_rows, *_ in fusions for rows in word_rows]
+        per_block = [vocab.rows(t) for *_, tokens in missed.values()
+                     for t in tokens]
     marks.append(time.perf_counter())
 
     vectors = []
@@ -215,8 +205,8 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite block vector")
         vectors.append(z)
-    for (key, (cfg, *_)), (_, _, truncated, fallback) in zip(missed.items(),
-                                                            fusions):
+    for (key, (cfg, *_)), (_, truncated, fallback) in zip(missed.items(),
+                                                         fusions):
         own, vectors = vectors[:len(cfg.blocks)], vectors[len(cfg.blocks):]
         served[key] = memo.add(key, np.stack(own), (truncated, fallback))
     embeddings = [FunctionEmbedding(cfg.function_id, cfg.selector,

@@ -1,12 +1,18 @@
 """Two-phase scan orchestration.
 
+A contract's functions are analysed once: each travels as one
+``(FunctionCfg, paths)`` pair, with the paths enumerated for it, to the
+detector, the vocabulary corpus and the encoder.
+
 Embed phase: analyze contracts, run the builtin reentrancy detector, merge
 external report records, and store block vectors of defective functions in
-the index. Detect phase: analyze new contracts under the selector gate
-(only the functions under a selector the index holds are carved, have
-their paths enumerated and are embedded), and compare each with every
-stored function under its selector; no detectors run (that is the whole
-point of the cheaper second phase). Only ``cmd_ablate`` runs encoder
+the index. A contract is named by its file stem, the name report records
+address it by, so two embed inputs with one stem are refused. Detect
+phase: analyze new contracts under the selector gate (only the functions
+under a selector the index holds are carved, have their paths enumerated
+and are embedded), and compare each with every stored function under its
+selector; no detectors run (that is the whole point of the cheaper second
+phase). Only ``cmd_ablate`` runs encoder
 variants, on in-memory indexes it builds, and gates its scans the same way.
 """
 
@@ -29,7 +35,8 @@ from .encoder import (EmbeddingConfig, Vocabulary, embed_contract,
                       train_vocabulary)
 from .encoder.embed import STAGES
 from .encoder.params import init_params
-from .errors import EmptyCorpus, VocabularyDiverged
+from .errors import (DeltascanError, EmptyCorpus, SchemaError,
+                     VocabularyDiverged)
 from .evm import decode_hex
 from .index import AnnIndex, EntryLabel, IndexEntry, decide_similar, load_index, save_index
 
@@ -115,7 +122,7 @@ def read_bytecode_file(path) -> bytes:
 class _Analyzed:
     name: str
     analysis: ContractAnalysis
-    paths: dict            # function index -> list of ExecutionPath
+    functions: list        # (FunctionCfg, paths) of each analysed function
     hit_cap: int
     timings_ms: dict
 
@@ -130,21 +137,20 @@ def _analyze_one(name: str, code: bytes, max_paths: int,
     timings["analysis"] = (time.perf_counter() - t0) * 1e3
     timings.update(analysis.timings_ms)  # its stages
     t0 = time.perf_counter()
-    paths = {}
+    functions = []
     hit_cap = 0
-    for i, fn in enumerate(analysis.functions):
+    for fn in analysis.functions:
         enum = enumerate_paths(fn, max_paths)
-        paths[i] = list(enum.paths)
+        functions.append((fn, enum.paths))
         hit_cap += int(enum.hit_cap)
     timings["paths"] = (time.perf_counter() - t0) * 1e3
-    return _Analyzed(name, analysis, paths, hit_cap, timings)
+    return _Analyzed(name, analysis, functions, hit_cap, timings)
 
 
 def _contract_corpus(analyzed: _Analyzed) -> list:
     """The opcode bytes of each path of each function."""
     return [b"".join([fn.blocks[bid].ops for bid in path.blocks])
-            for i, fn in enumerate(analyzed.analysis.functions)
-            for path in analyzed.paths[i]]
+            for fn, paths in analyzed.functions for path in paths]
 
 
 def _load_inputs(inputs) -> tuple:
@@ -171,12 +177,23 @@ class _EmbedPlan:
 def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
     """Analyze, detect, map reports, train the vocabulary, and list each
     function to store once: the work of every encoder variant alike.
-    Raises VocabularyDiverged when a trained word vector is not finite."""
+    Raises VocabularyDiverged when a trained word vector is not finite, and
+    DeltascanError when two bytecode inputs share a stem or a report file
+    is not a JSON array."""
     bytecode_files, report_files = _load_inputs(inputs)
+    named = {}  # contract name -> its input
+    for path in bytecode_files:
+        if path.stem in named:
+            raise DeltascanError(f"{named[path.stem]} and {path} both name "
+                                 f"contract {path.stem!r}")
+        named[path.stem] = path
     external_records = []
     report_errors = []
     for path in report_files:
-        records, errors = parse_report_file(path.read_bytes())
+        try:
+            records, errors = parse_report_file(path.read_bytes())
+        except SchemaError as exc:
+            raise DeltascanError(f"{path}: {exc}") from None
         external_records.extend(records)
         report_errors.extend(errors)
 
@@ -191,16 +208,13 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
             failures[str(path)] = str(exc)
 
     # builtin detector + external report mapping
-    selector_maps = {a.name: (a.analysis.program.code_hash,
-                              a.analysis.selector_map) for a in analyzed}
     builtin: list = []  # (analyzed, function index, DefectRecord)
     for a in analyzed:
-        for i, fn in enumerate(a.analysis.functions):
-            for record in detect_bypass_reentrancy(fn, config.max_paths,
-                                                   contract_name=a.name,
-                                                   paths=a.paths[i]):
+        for i, (fn, paths) in enumerate(a.functions):
+            for record in detect_bypass_reentrancy(fn, paths, a.name):
                 builtin.append((a, i, record))
-    mapped, unmapped = map_report(external_records, selector_maps)
+    mapped, unmapped = map_report(
+        external_records, {a.name: a.analysis.selector_map for a in analyzed})
 
     corpus = [seq for a in analyzed for seq in _contract_corpus(a)]
     try:
@@ -215,19 +229,16 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
 
     to_embed: list = []  # (analyzed, fn index, function_ref, DefectClass)
     for a, i, record in builtin:
-        fn = a.analysis.functions[i]
+        fn = a.functions[i][0]
         ref = ("0x" + fn.selector.hex()) if fn.selector else record.function_signature
         to_embed.append((a, i, ref, record.defect_class))
-    by_selector = {}
-    for a in analyzed:
-        for i, fn in enumerate(a.analysis.functions):
-            if fn.selector is not None:
-                by_selector[(a.name, fn.selector)] = (a, i)
-    for md in mapped:
-        hit = by_selector.get((md.record.contract_name, md.selector))
-        if hit is not None:
-            to_embed.append((hit[0], hit[1], md.record.function_signature,
-                             md.record.defect_class))
+    # an ungated analysis carves a function under every mapped selector
+    by_selector = {(a.name, fn.selector): (a, i) for a in analyzed
+                   for i, (fn, _) in enumerate(a.functions)}
+    for record, selector in mapped:
+        a, i = by_selector[(record.contract_name, selector)]
+        to_embed.append((a, i, record.function_signature,
+                         record.defect_class))
 
     # deterministic insertion order, each (function, ref, defect) once
     to_embed.sort(key=lambda item: (item[0].name, item[1], item[2],
@@ -263,13 +274,12 @@ def _build_index(plan: _EmbedPlan, params, use_sequence: bool = True,
         functions = list(dict.fromkeys(i for _, i, _, _ in group))
         t0 = time.perf_counter()
         embedded = embed_contract(
-            [(a.analysis.functions[i], a.paths[i]) for i in functions],
-            plan.vocab, params, use_sequence=use_sequence,
-            use_graph=use_graph, memo=memo)
+            [a.functions[i] for i in functions], plan.vocab, params,
+            use_sequence=use_sequence, use_graph=use_graph, memo=memo)
         embed_ms += (time.perf_counter() - t0) * 1e3
         by_function = dict(zip(functions, embedded))
         for _, i, ref, defect in group:
-            selector = a.analysis.functions[i].selector or b""
+            selector = a.functions[i][0].selector or b""
             for block_id, vec in enumerate(by_function[i].block_vectors):
                 label = EntryLabel(a.name, ref, selector, block_id, defect)
                 index.insert(IndexEntry(vec, label))
@@ -303,11 +313,10 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     same contract; the counters say how many."""
     result = ScanResult(a.name, a.analysis.program.code_hash.hex(),
                         timings_ms=dict(a.timings_ms))
-    functions = [(fn, a.paths[i]) for i, fn in enumerate(a.analysis.functions)]
     stats = {}
     t0 = time.perf_counter()
     embeddings = embed_contract(
-        functions, vocab, params, use_sequence=use_sequence,
+        a.functions, vocab, params, use_sequence=use_sequence,
         use_graph=use_graph, stats=stats, memo=params.memo.bind(vocab))
     result.timings_ms["embedding"] = (time.perf_counter() - t0) * 1e3
     result.timings_ms.update((name, stats[name]) for name in STAGES)
@@ -320,13 +329,6 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
     result.timings_ms["query"] = (time.perf_counter() - t0) * 1e3
     result.nearest = {"0x" + selector.hex(): distance
                       for selector, distance in nearest.items()}
-    # every function the contract has, gated or not: one per selector,
-    # plus the fallback or else the anonymous function of a non-empty
-    # contract without a dispatcher
-    selmap = a.analysis.selector_map
-    recovered = len(selmap.entries) + (
-        selmap.fallback_entry is not None
-        or (not selmap.entries and bool(a.analysis.program.ops)))
     result.counters = {"instructions": len(a.analysis.program.starts),
                        "dynamic_edges": a.analysis.edges.dynamic_count,
                        "blocks_resolved": a.analysis.edges.resolved_count,
@@ -338,7 +340,8 @@ def _detect_one(a: _Analyzed, config: PipelineConfig, index: AnnIndex,
                            e.fallback_blocks for e in embeddings),
                        "functions_embedded": len(embeddings),
                        "functions_reused": stats["functions_reused"],
-                       "functions_gated": recovered - len(embeddings),
+                       "functions_gated": (a.analysis.function_count
+                                           - len(embeddings)),
                        **compared}
     return result
 
@@ -388,7 +391,7 @@ def cmd_ablate(config: PipelineConfig, embed_inputs, scan_inputs,
     plan = _plan_embed(config, embed_inputs)
     params = init_params(config.embedding)
     # every variant's index holds the plan's functions, so one gate
-    selectors = {a.analysis.functions[i].selector for a, i, _, _ in plan.stored}
+    selectors = {a.functions[i][0].selector for a, i, _, _ in plan.stored}
     scans = [_analyze_one(path.stem, read_bytecode_file(path),
                           config.max_paths, selectors)
              for path in _load_inputs(scan_inputs)[0]]

@@ -205,7 +205,8 @@ def test_criterion_07_reentrancy_detector_fixtures():
 
     def findings(code, max_paths=64):
         return [r for fn in analyze_contract(code).functions
-                for r in detect_bypass_reentrancy(fn, max_paths)]
+                for r in detect_bypass_reentrancy(
+                    fn, enumerate_paths(fn, max_paths).paths, "c")]
     flagged = len(findings(vulnerable)) == 1
     clean = len(findings(safe)) == 0
     monotone = True

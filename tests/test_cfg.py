@@ -376,8 +376,8 @@ def test_gated_analysis_carves_exactly_the_gated_functions():
             expected = tuple(fn for fn in full.functions
                              if fn.selector in gate)
             assert gated.functions == expected
-            assert (gated.program, gated.blocks, list(gated.edges),
-                    gated.selector_map) == (full.program, full.blocks,
+            assert (gated.program, tuple(gated.blocks), list(gated.edges),
+                    gated.selector_map) == (full.program, tuple(full.blocks),
                                             list(full.edges),
                                             full.selector_map)
             carved += len(expected)
@@ -415,10 +415,10 @@ def test_short_push_selector_is_recovered_and_maps():
     (fn,) = [f for f in analysis.functions if f.selector == selector]
     assert fn.function_id == (analysis.program.code_hash, selector)
     record = DefectRecord("Token", signature, DefectClass.WeakAuthValidation)
-    mapped, unmapped = map_report([record], {"Token": (
-        analysis.program.code_hash, analysis.selector_map)})
+    mapped, unmapped = map_report([record],
+                                  {"Token": analysis.selector_map})
     assert unmapped == []
-    assert [m.function_id for m in mapped] == [fn.function_id]
+    assert mapped == [(record, fn.selector)]
 
 
 def test_selector_patterns_match_the_instruction_oracle():
@@ -576,3 +576,28 @@ def test_lazy_edges_equal_the_eager_oracle(monkeypatch):
         resolved_targets += sum(kind in ("jump_taken", "jumpi_true")
                                 for out in ref.static for kind in out)
     assert dynamic > 1000 and resolved_targets > 1000
+
+
+def test_function_count_is_the_ungated_function_count(monkeypatch):
+    """``function_count`` is the number of functions an ungated analysis
+    carves, and no selector gate changes it. Over the fixtures, the edge
+    cases, the empty code and the bench rounds of seeds 1-3."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpora
+    absent = b"\xde\xad\xbe\xef"
+    codes = _fixture_codes() + _edge_cases() + [b""]
+    for seed in (1, 2, 3):
+        codes += [c.code for c in corpora.clones_round(seed)]
+        codes += [c.code for c in corpora.large_round(seed)]
+    fallbacks = anonymous = 0
+    for code in codes:
+        full = analyze_contract(code)
+        assert full.function_count == len(full.functions), code.hex()
+        selectors = sorted(full.selector_map.entries)
+        for gate in (set(), set(selectors[:1]), set(selectors), {absent}):
+            gated = analyze_contract(code, gate)
+            assert gated.function_count == full.function_count, code.hex()
+        fallbacks += full.selector_map.fallback_entry is not None
+        anonymous += not selectors and full.function_count == 1
+    assert fallbacks > 0 and anonymous > 0
+    assert analyze_contract(b"").function_count == 0

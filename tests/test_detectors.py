@@ -4,7 +4,7 @@ import string
 
 import pytest
 
-from deltascan.cfg import analyze_contract
+from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.detectors import (DefectClass, DefectRecord,
                                  detect_bypass_reentrancy, map_report,
                                  parse_report_file, signature_selector,
@@ -68,13 +68,19 @@ def _functions(code):
     return analyze_contract(code).functions
 
 
+def _detect(fn, max_paths=64):
+    """The detector over the paths the pipeline enumerates for ``fn``."""
+    return detect_bypass_reentrancy(fn, enumerate_paths(fn, max_paths).paths,
+                                    "c")
+
+
 def test_vulnerable_mint_flagged():
     code = build_contract([("mint(address,uint256)",
                             vulnerable_mint_body(5))])
-    records = [r for fn in _functions(code)
-               for r in detect_bypass_reentrancy(fn, contract_name="c")]
+    records = [r for fn in _functions(code) for r in _detect(fn)]
     assert len(records) == 1
     rec = records[0]
+    assert rec.contract_name == "c"
     assert rec.defect_class is DefectClass.BypassAuthReentrancy
     assert rec.source == "builtin_detector"
     assert rec.function_signature == "unknown_0x40c10f19()"
@@ -83,12 +89,12 @@ def test_vulnerable_mint_flagged():
 
 def test_cei_variant_not_flagged():
     code = build_contract([("mint(address,uint256)", cei_mint_body(5))])
-    assert not any(detect_bypass_reentrancy(fn) for fn in _functions(code))
+    assert not any(_detect(fn) for fn in _functions(code))
 
 
 def test_no_external_call_not_flagged():
     code = build_contract([("balanceOf(address)", getter_body(0))])
-    assert not any(detect_bypass_reentrancy(fn) for fn in _functions(code))
+    assert not any(_detect(fn) for fn in _functions(code))
 
 
 def test_different_slot_after_call_not_flagged():
@@ -102,7 +108,7 @@ def test_different_slot_after_call_not_flagged():
         a.push(1).push(6).op("SSTORE")
         a.op("STOP")
     code = build_contract([("mint(address,uint256)", body)])
-    assert not any(detect_bypass_reentrancy(fn) for fn in _functions(code))
+    assert not any(_detect(fn) for fn in _functions(code))
 
 
 def test_unresolvable_key_is_top_and_matches_anything():
@@ -116,7 +122,7 @@ def test_unresolvable_key_is_top_and_matches_anything():
         a.push(1).push(6).op("SSTORE")
         a.op("STOP")
     code = build_contract([("mint(address,uint256)", body)])
-    flagged = [fn for fn in _functions(code) if detect_bypass_reentrancy(fn)]
+    flagged = [fn for fn in _functions(code) if _detect(fn)]
     assert len(flagged) == 1
 
 
@@ -124,10 +130,8 @@ def test_detector_monotone_in_max_paths():
     code = build_contract([("mint(address,uint256)", vulnerable_mint_body(3)),
                            ("approve(address,uint256)", getter_body(1))])
     for fn in _functions(code):
-        small = {r.function_signature
-                 for r in detect_bypass_reentrancy(fn, max_paths=1)}
-        large = {r.function_signature
-                 for r in detect_bypass_reentrancy(fn, max_paths=64)}
+        small = {r.function_signature for r in _detect(fn, max_paths=1)}
+        large = {r.function_signature for r in _detect(fn, max_paths=64)}
         assert small <= large
 
 
@@ -145,16 +149,13 @@ def test_dedupe_one_record_per_function():
         a.label(f"{tag}_b").op("JUMPDEST")
         a.push(2).push(5).op("SSTORE").op("STOP")
     code = build_contract([("mint(address,uint256)", body)])
-    records = [r for fn in _functions(code) for r in detect_bypass_reentrancy(fn)]
+    records = [r for fn in _functions(code) for r in _detect(fn)]
     assert len(records) == 1
 
 
 def _selector_maps(named_codes):
-    out = {}
-    for name, code in named_codes.items():
-        analysis = analyze_contract(code)
-        out[name] = (analysis.program.code_hash, analysis.selector_map)
-    return out
+    return {name: analyze_contract(code).selector_map
+            for name, code in named_codes.items()}
 
 
 def test_map_report_conservation_and_reasons():
@@ -173,8 +174,7 @@ def test_map_report_conservation_and_reasons():
     ]
     mapped, unmapped = map_report(records, maps)
     assert len(mapped) + len(unmapped) == len(records)
-    assert len(mapped) == 1
-    assert mapped[0].selector == bytes.fromhex("23b872dd")
+    assert mapped == [(records[0], bytes.fromhex("23b872dd"))]
     reasons = {r.contract_name + "/" + r.function_signature: why
                for r, why in unmapped}
     assert reasons["Missing/transferFrom(address,address,uint256)"] == \
@@ -215,7 +215,9 @@ def test_parse_report_file_per_record_errors():
 
 
 def test_parse_report_file_whole_file_errors():
-    with pytest.raises(json.JSONDecodeError):
-        parse_report_file(b"not json")
-    with pytest.raises(SchemaError):
-        parse_report_file(b"{}")
+    for data in (b"not json",
+                 b'[{"contract": "a"',  # truncated
+                 b"\xff\xfe",           # not UTF-8
+                 b"{}"):                # not an array
+        with pytest.raises(SchemaError):
+            parse_report_file(data)

@@ -131,6 +131,20 @@ def test_unreachable_block_uses_fallback(small_vocab, params, config):
         full.fallback_blocks == 0
 
 
+def test_sequence_off_makes_every_block_a_fallback_block(small_vocab, params,
+                                                         config):
+    """With the sequence stage off no path is encoded, so every block takes
+    the fallback rows, whatever paths the function has."""
+    code = build_contract([("approve(address,uint256)", setter_body(1))])
+    fn = analyze_contract(code).functions[0]
+    for paths in (enumerate_paths(fn).paths, enumerate_paths(fn, 1).paths):
+        for use_graph in (True, False):
+            emb = embed_function(fn, paths, small_vocab, params, config,
+                                 use_sequence=False, use_graph=use_graph)
+            assert (emb.fallback_blocks, emb.paths_truncated) == (
+                len(fn.blocks), 0)
+
+
 def test_truncation_counter(small_vocab, params, config):
     # a long straight-line body overflows m_max in a single path
     from fixtures import Asm

@@ -654,9 +654,9 @@ def test_gated_scan_resolves_and_builds_only_spine_and_carved_blocks(
                   for b in fn.blocks]
         resolved = res.counters["blocks_resolved"]
         assert 0 < resolved <= len(set(spine)) + len(carved)
-        assert len(spine) + len(carved) < len(analysis.partition)
+        assert len(spine) + len(carved) < len(analysis.blocks)
         assert sorted(built) == sorted(carved)
-        assert "blocks" not in vars(analysis)
+        assert isinstance(analysis.blocks, cfg.Blocks)  # no built copy
         embedded += res.counters["functions_embedded"]
     assert embedded > 0
 
@@ -1107,6 +1107,58 @@ def test_cli_fetch_requires_api_url(capsys):
 def test_cli_missing_file_is_error(tmp_path, capsys):
     assert main(["disasm", str(tmp_path / "nope.bin")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_unreadable_input_is_one_error_line(tmp_path, capsys):
+    assert main(["disasm", str(tmp_path)]) == 1  # a directory
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(tmp_path) in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("report", [b'[{"contract": "a"', b"\xff\xfe"],
+                         ids=["truncated", "not_utf8"])
+def test_cli_embed_on_a_malformed_report_is_one_error_line(report, tmp_path,
+                                                           corpus_dir, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_bytes(report)
+    idx = tmp_path / "report.idx"
+    inputs = sorted(str(p) for p in corpus_dir.glob("*.bin"))[:1]
+    assert main(["--index", str(idx), "embed", *inputs, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: record -1: not ")
+    assert len(captured.err.splitlines()) == 1
+    assert not idx.exists()
+
+
+@pytest.mark.parametrize("other", [
+    [(APPROVE, getter_body(1)), (MINT, vulnerable_mint_body(6))],
+    [(MINT, vulnerable_mint_body(6))]], ids=["other_index", "same_index"])
+def test_cli_refuses_two_embed_inputs_with_one_name(other, tmp_path, capsys):
+    """A contract is named by its file stem, which report records address
+    it by: a/token.bin and b/token.bin, each with a flagged mint at another
+    or the same function index, would be stored as one contract. embed and
+    ablate refuse them with one error line naming both paths."""
+    paths = []
+    for sub, functions in (("a", [(MINT, vulnerable_mint_body(5))]),
+                           ("b", other)):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "token.bin")
+        paths[-1].write_bytes(build_contract(functions))
+    idx = tmp_path / "dup.idx"
+    inputs = [str(p) for p in paths]
+    for argv in (["embed", *inputs], ["ablate", *inputs, "--scan", inputs[0]]):
+        assert main(["--index", str(idx), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {paths[0]} and {paths[1]} both name "
+                                "contract 'token'\n")
+    assert not idx.exists()
+    assert cmd_embed(PipelineConfig(index_path=str(idx)),
+                     inputs[:1])["builtin_findings"] == 1
 
 
 def test_compile_cmd_quotes_input_path(tmp_path, monkeypatch):
