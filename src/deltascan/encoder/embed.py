@@ -36,9 +36,9 @@ Ablation switches mirror the detection variants: with the sequence stage
 off, no path is encoded, so every block is a fallback block whose features
 are its projected word vectors; with the graph stage off, fused block
 features are pooled as-is, and with both off, each block's word vectors
-are. Pooled vectors whose dimension differs from block_dim are mapped up
-by a fixed seeded projection so every variant yields comparable block
-vectors.
+are, and no block is fused. Pooled vectors whose dimension differs from
+block_dim are mapped up by a fixed seeded projection so every variant
+yields comparable block vectors.
 """
 
 from __future__ import annotations
@@ -174,11 +174,16 @@ def embed_contract(items, vocab: Vocabulary, params: EncoderParams,
             encoded[k] = (rows, pe.truncated)
     marks.append(time.perf_counter())
 
-    # fusion: each function's blocks from that function's own paths
-    fusions = [_fuse_function(cfg, paths, [encoded[k] for k in function],
-                              t, vocab, params)
-               for (cfg, paths, t), function in zip(missed.values(),
-                                                    path_keys)]
+    # fusion: each function's blocks from that function's own paths; with
+    # both stages off nothing reads the fused rows, and every block is a
+    # fallback block
+    if use_sequence or use_graph:
+        fusions = [_fuse_function(cfg, paths, [encoded[k] for k in function],
+                                  t, vocab, params)
+                   for (cfg, paths, t), function in zip(missed.values(),
+                                                        path_keys)]
+    else:
+        fusions = [(None, 0, len(cfg.blocks)) for cfg, *_ in missed.values()]
     marks.append(time.perf_counter())
 
     # graph: one encoding of the union of the functions' instruction graphs

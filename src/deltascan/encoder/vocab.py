@@ -1,13 +1,24 @@
-"""Skip-gram opcode embeddings trained from scratch.
+"""Opcode word vectors, factorised in closed form from co-occurrence counts.
 
 A token is a token byte: the opcode byte of an instruction, immediates
 dropped (PUSH0..PUSH32 distinct), with the undefined bytes mapped to
 0xFE, as they share its mnemonic INVALID (``TOKEN_BYTES``). A vocabulary
 keeps its vectors by mnemonic, the form its file stores, and reads them
 by token byte through one 256-row table (``Vocabulary.rows``) that gives
-the all-zero vector for a token it does not hold. Training uses negative
-sampling with a seeded generator so two runs over the same corpus produce
-byte-identical vectors.
+the all-zero vector for a token it does not hold.
+
+Training counts the (center, context) token pairs within ``window``
+positions of each other, takes their positive pointwise mutual
+information (context counts smoothed by the 0.75 power), and factorises
+that tokens x tokens matrix with one SVD, ``U S V^T``. A token's vector
+is its row of ``U sqrt(S) + V sqrt(S)`` (word plus context vectors),
+zero-padded to ``word_dim``, each column signed so that its
+largest-magnitude entry is positive. Skip-gram with negative sampling
+factorises a shifted PMI matrix implicitly (Levy and Goldberg, NeurIPS
+2014); with at most 256 tokens that matrix is factorised exactly here,
+with no learning rate, epochs or random draws. Two runs over one corpus
+give byte-identical vectors, and no element exceeds twice the square root
+of the largest singular value.
 """
 
 from __future__ import annotations
@@ -28,12 +39,6 @@ logger = logging.getLogger(__name__)
 
 _MAGIC = b"DSVW"
 _VERSION = 2
-
-_NEGATIVES = 5
-_BASE_LR = 0.025
-_EPOCHS = 3
-_MAX_PAIRS = 200_000
-_BATCH = 1024
 
 # the token byte of each opcode byte
 TOKEN_BYTES = bytes(op.byte_value if op.is_defined else 0xFE
@@ -70,15 +75,10 @@ def _corpus_hash(corpus) -> bytes:
     return digest.digest()
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
-
-
 def _window_pairs(ids, lengths, window):
     """(center, context) id pairs within ``window`` positions inside each
     sequence of the flat ``ids``, ordered sequence by sequence, then by
-    center, then by context position: the order the ``_MAX_PAIRS`` stride
-    samples from."""
+    center, then by context position."""
     pos = np.arange(ids.size)
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)
     end = np.repeat(np.cumsum(lengths), lengths)
@@ -89,28 +89,9 @@ def _window_pairs(ids, lengths, window):
     return centers, ids[ctx[keep]]
 
 
-def _add_rows(w, index, rows):
-    """``np.add.at(w, index, rows(np.arange(index.size)))``, bit for bit
-    except that, where NaNs of different payloads meet, the NaN kept may
-    differ.
-
-    ``rows(sel)`` returns a new float32 ``(sel.size, d)`` array holding the
-    updates at positions ``sel``. Each hit row of ``w`` takes its updates in
-    index order: the first update plus the current value, then a reduce
-    over axis 0 of the C-contiguous updates, which adds row after row.
-    ``np.add.reduceat`` does not give the same bits.
-    """
-    counts = np.bincount(index, minlength=w.shape[0])
-    ends = np.cumsum(counts)
-    order = np.argsort(index, kind="stable")
-    for r in np.flatnonzero(counts).tolist():
-        upd = rows(order[ends[r] - counts[r]:ends[r]])
-        upd[0] += w[r]
-        w[r] = np.add.reduce(upd, axis=0)
-
-
 def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
-    """Train skip-gram embeddings over token sequences.
+    """Word vectors of the tokens of ``corpus``, factorised in closed form
+    from their positive PMI within ``config.window`` positions.
 
     corpus: list of token byte strings (opcode bytes are read as their
     tokens). Raises EmptyCorpus when no tokens exist.
@@ -126,62 +107,35 @@ def train_vocabulary(corpus: list, config: EmbeddingConfig) -> Vocabulary:
                     key=lambda t: (-counts[t], BYTE_MNEMONICS[t]))
     vocab_size = len(tokens)
     dim = config.word_dim
-    rng = np.random.default_rng(config.seed)
 
-    w_in = ((rng.random((vocab_size, dim), dtype=np.float32) - 0.5) / dim)
-    w_out = np.zeros((vocab_size, dim), dtype=np.float32)
-
-    # the narrowest unsigned ids: the stable argsorts of ``_add_rows`` then
-    # take numpy's radix sort
-    id_type = np.min_scalar_type(vocab_size - 1)
-    id_of = np.zeros(256, dtype=id_type)
+    id_of = np.zeros(256, dtype=np.intp)
     id_of[tokens] = np.arange(vocab_size)
-    ids = id_of[stream]
     lengths = np.fromiter(map(len, sequences), dtype=np.int64)
-    centers, contexts = _window_pairs(ids, lengths, config.window)
-    if centers.size > _MAX_PAIRS:
-        stride = centers.size / _MAX_PAIRS
-        keep = (np.arange(_MAX_PAIRS) * stride).astype(np.int64)
-        centers, contexts = centers[keep], contexts[keep]
+    centers, contexts = _window_pairs(id_of[stream], lengths, config.window)
+    pairs = np.bincount(centers * vocab_size + contexts,
+                        minlength=vocab_size * vocab_size
+                        ).reshape(vocab_size, vocab_size).astype(np.float64)
 
-    freq = counts[tokens].astype(np.float64) ** 0.75
-    noise = (freq / freq.sum()) if vocab_size > 1 else np.ones(1)
-    # Generator.choice(p=noise) draws through this cdf
-    cdf = noise.cumsum()
-    cdf /= cdf[-1]
+    # PMI(w, c) = log(#(w, c) * sum_c' #c'^0.75 / (#w * #c^0.75)); pairs
+    # never seen read 0
+    smoothed = pairs.sum(axis=0) ** 0.75
+    ratio = np.divide(pairs * smoothed.sum(),
+                      np.outer(pairs.sum(axis=1), smoothed),
+                      out=np.ones_like(pairs), where=pairs > 0)
+    ppmi = np.maximum(np.log(ratio), 0.0)
 
-    width = 1 + _NEGATIVES
-    total_steps = max(1, _EPOCHS * ((centers.size + _BATCH - 1) // _BATCH))
-    step = 0
-    for _ in range(_EPOCHS):
-        order = rng.permutation(centers.size)
-        for start in range(0, centers.size, _BATCH):
-            batch = order[start:start + _BATCH]
-            c, o = centers[batch], contexts[batch]
-            negatives = cdf.searchsorted(
-                rng.random((batch.size, _NEGATIVES)), side="right"
-            ).astype(id_type)
-            lr = np.float32(_BASE_LR * max(0.05, 1.0 - step / total_steps))
-            step += 1
+    # W + C = U sqrt(S) + V sqrt(S), each column signed so that its
+    # largest-magnitude entry is positive
+    u, s, vt = np.linalg.svd(ppmi)
+    rank = min(vocab_size, dim)
+    words = (u[:, :rank] + vt[:rank].T) * np.sqrt(s[:rank])
+    largest = words[np.abs(words).argmax(axis=0), np.arange(rank)]
+    words *= np.where(largest < 0, -1.0, 1.0)
+    table = np.zeros((vocab_size, dim), dtype=np.float32)
+    table[:, :rank] = words
 
-            vc = w_in[c]                                    # (B, d)
-            targets = np.concatenate([o[:, None], negatives], axis=1)  # (B, 1+k)
-            vt = w_out[targets]                             # (B, 1+k, d)
-            score = _sigmoid(np.einsum("bd,bkd->bk", vc, vt))
-            label = np.zeros_like(score)
-            label[:, 0] = 1.0
-            grad = (score - label).astype(np.float32)       # (B, 1+k)
-
-            grad_vc = np.einsum("bk,bkd->bd", grad, vt)
-            flat = grad.reshape(-1)
-            _add_rows(w_in, c, lambda sel: grad_vc[sel] * -lr)
-            _add_rows(w_out, targets.reshape(-1),
-                      lambda sel: (flat[sel, None] * vc[sel // width]) * -lr)
-
-    vectors = {BYTE_MNEMONICS[t]: np.ascontiguousarray(w_in[i],
-                                                       dtype=np.float32)
-               for i, t in enumerate(tokens)}
-    logger.info("trained vocabulary: %d tokens, %d training pairs",
+    vectors = {BYTE_MNEMONICS[t]: table[i] for i, t in enumerate(tokens)}
+    logger.info("trained vocabulary: %d tokens, %d window pairs",
                 vocab_size, centers.size)
     return Vocabulary(vectors, dim, _corpus_hash(sequences))
 

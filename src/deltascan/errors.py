@@ -10,7 +10,9 @@ class EmptyCorpus(DeltascanError):
 
 
 class VocabularyDiverged(DeltascanError):
-    """Vocabulary training gave word vectors that are not finite."""
+    """A vocabulary to be stored holds word vectors that are not finite.
+    The closed-form trainer gives finite vectors; ``embed`` checks them
+    anyway before it writes a file."""
 
 
 class DimensionMismatch(DeltascanError):

@@ -207,7 +207,13 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
             logger.warning("embed: %s failed: %s", path, exc)
             failures[str(path)] = str(exc)
 
+    timings = {}  # each analysis stage summed over the contracts
+    for a in analyzed:
+        for name, ms in a.timings_ms.items():
+            timings[name] = timings.get(name, 0.0) + ms
+
     # builtin detector + external report mapping
+    t0 = time.perf_counter()
     builtin: list = []  # (analyzed, function index, DefectRecord)
     for a in analyzed:
         for i, (fn, paths) in enumerate(a.functions):
@@ -215,17 +221,21 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
                 builtin.append((a, i, record))
     mapped, unmapped = map_report(
         external_records, {a.name: a.analysis.selector_map for a in analyzed})
+    timings["detector"] = (time.perf_counter() - t0) * 1e3
 
+    t0 = time.perf_counter()
     corpus = [seq for a in analyzed for seq in _contract_corpus(a)]
+    path_tokens = sum(map(len, corpus))
     try:
         vocab = train_vocabulary(corpus, config.embedding)
     except EmptyCorpus:
         vocab = Vocabulary({}, config.embedding.word_dim, b"\x00" * 32)
+    timings["vocabulary"] = (time.perf_counter() - t0) * 1e3
     diverged = sum(not np.isfinite(v).all() for v in vocab.vectors.values())
     if diverged:
         raise VocabularyDiverged(
             f"{diverged} of {len(vocab.vectors)} word vectors are not "
-            f"finite after training on {sum(map(len, corpus))} path tokens")
+            f"finite after training on {path_tokens} path tokens")
 
     to_embed: list = []  # (analyzed, fn index, function_ref, DefectClass)
     for a, i, record in builtin:
@@ -256,6 +266,8 @@ def _plan_embed(config: PipelineConfig, inputs) -> _EmbedPlan:
                              for r, reason in unmapped],
         "report_schema_errors": [str(e) for e in report_errors],
         "paths_truncated_enumerations": sum(a.hit_cap for a in analyzed),
+        "path_tokens": path_tokens,
+        "timings_ms": timings,
     })
 
 
@@ -289,15 +301,20 @@ def _build_index(plan: _EmbedPlan, params, use_sequence: bool = True,
 def cmd_embed(config: PipelineConfig, inputs) -> dict:
     """Analyze contracts, gather defect labels, embed defective functions
     with the full encoder, and write the index (plus its vocabulary
-    sidecar)."""
+    sidecar). The summary's ``timings_ms`` holds the analysis stages summed
+    over the contracts, ``detector``, ``vocabulary`` (corpus and
+    training), ``embedding`` and ``save`` (both files)."""
     plan = _plan_embed(config, inputs)
+    timings = plan.summary["timings_ms"]
     params = init_params(config.embedding)
-    index, embed_ms = _build_index(plan, params)
+    index, timings["embedding"] = _build_index(plan, params)
+    t0 = time.perf_counter()
     save_index(index, config.index_path)
     save_vocabulary(plan.vocab, config.vocab_path)
+    timings["save"] = (time.perf_counter() - t0) * 1e3
 
-    total_ms = embed_ms + sum(a.timings_ms["analysis"] + a.timings_ms["paths"]
-                              for a in plan.analyzed)
+    total_ms = (timings.get("analysis", 0.0) + timings.get("paths", 0.0)
+                + timings["embedding"])
     return {**plan.summary, "vectors_stored": len(index),
             "mean_contract_ms": total_ms / max(len(plan.analyzed), 1)}
 

@@ -145,6 +145,30 @@ def test_sequence_off_makes_every_block_a_fallback_block(small_vocab, params,
                 len(fn.blocks), 0)
 
 
+def test_only_a_variant_that_reads_fused_rows_fuses(small_vocab, params,
+                                                    config, monkeypatch):
+    """With both stages off each block pools its word vectors, so no block
+    is fused; every other variant fuses each function once."""
+    calls = []
+    fuse = embed._fuse_function
+
+    def counted(*args):
+        calls.append(args[0])
+        return fuse(*args)
+    monkeypatch.setattr(embed, "_fuse_function", counted)
+    code = build_contract([("approve(address,uint256)", setter_body(1))])
+    fn = analyze_contract(code).functions[0]
+    paths = enumerate_paths(fn).paths
+    for use_sequence in (True, False):
+        for use_graph in (True, False):
+            calls.clear()
+            emb = embed_function(fn, paths, small_vocab, params, config,
+                                 use_sequence=use_sequence,
+                                 use_graph=use_graph)
+            assert calls == ([fn] if use_sequence or use_graph else [])
+            assert len(emb.block_vectors) == len(fn.blocks)
+
+
 def test_truncation_counter(small_vocab, params, config):
     # a long straight-line body overflows m_max in a single path
     from fixtures import Asm

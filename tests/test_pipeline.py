@@ -9,6 +9,7 @@ import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deltascan.cfg as cfg
@@ -16,8 +17,9 @@ import deltascan.pipeline as pipeline
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.cli import _compile_inputs, main, parse_config_file
 from deltascan.detectors import signature_selector
-from deltascan.encoder import (EmbeddingConfig, embed, embed_contract,
-                               embed_function)
+from deltascan.encoder import (EmbeddingConfig, Vocabulary, embed,
+                               embed_contract, embed_function,
+                               load_vocabulary, train_vocabulary)
 from deltascan.encoder.embed import STAGES
 from deltascan.index import decide_similar
 from deltascan.errors import DeltascanError, VocabularyDiverged
@@ -778,12 +780,14 @@ def test_ablate_counts_monotone_in_threshold(tmp_path):
                            for t in DEFAULT_THRESHOLDS]
     assert set(table.values()) == {9}
     # a setter under the mint selector, matched by no stored mint at 0.01
-    # and by all three at 2.0, under every variant
+    # under any variant; at 2.0 by all three under every variant but
+    # no_graph, whose distances keep it apart from the mints
     swept = cmd_ablate(config, files, [*files, setter])
+    at_most_2 = {"full": 12, "no_sequence": 12, "no_graph": 9, "no_both": 12}
     for name, *_ in ABLATION_VARIANTS:
         counts = [swept[(name, t)] for t in DEFAULT_THRESHOLDS]
         assert counts == sorted(counts)
-        assert counts[0] == 9 and counts[-1] == 12
+        assert counts[0] == 9 and counts[-1] == at_most_2[name]
     assert _tree(tmp_path) == before
 
 
@@ -941,15 +945,25 @@ def test_cli_embed_detect_round_trip(tmp_path, corpus_dir, capsys):
     assert lines[0]["findings"][0]["max_block_distance"] == 0.0
 
 
-def test_embed_stops_on_a_diverged_vocabulary(tmp_path, capsys):
-    """On a corpus past the trainer's divergence (every weight NaN),
-    embed raises with the cause and writes no file, and the CLI reports
-    it as one error line."""
-    for name, _, code in make_corpus(40, seed=7):
+def test_embed_stops_on_a_diverged_vocabulary(tmp_path, capsys, monkeypatch):
+    """A trained vocabulary holding a word vector that is not finite stops
+    embed with the cause and writes no file, and the CLI reports it as one
+    error line. The closed-form trainer gives finite vectors, so the
+    vocabulary is made non-finite by hand."""
+    def diverged(corpus, config):
+        vocab = train_vocabulary(corpus, config)
+        vectors = dict(vocab.vectors)
+        first, second, *_ = vectors
+        vectors[first] = np.full(vocab.word_dim, np.nan, np.float32)
+        vectors[second] = vectors[second].copy()
+        vectors[second][-1] = np.inf
+        return Vocabulary(vectors, vocab.word_dim, vocab.training_corpus_hash)
+    monkeypatch.setattr(pipeline, "train_vocabulary", diverged)
+    for name, _, code in make_corpus(3, seed=7):
         (tmp_path / f"{name}.bin").write_bytes(code)
     inputs = sorted(map(str, tmp_path.glob("*.bin")))
     idx = tmp_path / "diverged.idx"
-    with pytest.raises(VocabularyDiverged, match=r"^(\d+) of \1 word vectors "
+    with pytest.raises(VocabularyDiverged, match=r"^2 of \d+ word vectors "
                        r"are not finite after training on \d+ path tokens$"):
         cmd_embed(PipelineConfig(index_path=str(idx)), inputs)
     assert main(["--index", str(idx), "embed", *inputs]) == 1
@@ -959,6 +973,48 @@ def test_embed_stops_on_a_diverged_vocabulary(tmp_path, capsys):
     assert "word vectors are not finite" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert [p for p in tmp_path.iterdir() if p.suffix != ".bin"] == []
+
+
+def test_embed_and_detect_at_scale(tmp_path):
+    """cmd_embed over 160 contracts (about 11000 path tokens) stores every
+    mint with finite, bounded word vectors, and detect finds a sample of
+    the stored functions again at distance 0."""
+    corpus = make_corpus(160, seed=7)
+    for name, _, code in corpus:
+        (tmp_path / f"{name}.bin").write_bytes(code)
+    inputs = sorted(map(str, tmp_path.glob("*.bin")))
+    config = PipelineConfig(index_path=str(tmp_path / "scale.idx"))
+    summary = cmd_embed(config, inputs)
+    assert summary["contracts_processed"] == 160
+    assert summary["contracts_failed"] == {}
+    assert summary["functions_stored"] == 160
+    vocab = load_vocabulary(config.vocab_path)
+    words = np.stack(list(vocab.vectors.values()))
+    assert np.isfinite(words).all()
+    assert np.abs(words).max() < 10
+    sample = inputs[::16]
+    results = cmd_detect(config, sample)
+    for path, result in zip(sample, results):
+        assert result.error is None
+        assert any(f.matched_contract == Path(path).stem
+                   and f.max_block_distance == 0.0
+                   for f in result.findings), path
+
+
+def test_embed_summary_reports_its_timings_and_path_tokens(built_index,
+                                                           corpus_dir):
+    """The summary names the time of each write-path stage and the size
+    of the vocabulary's corpus: the tokens of every enumerated path."""
+    _, summary = built_index
+    timings = summary["timings_ms"]
+    for stage in ("analysis", "paths", "detector", "vocabulary",
+                  "embedding", "save"):
+        assert timings[stage] >= 0.0
+    plan = pipeline._plan_embed(PipelineConfig(),
+                                sorted(map(str, corpus_dir.glob("*.bin"))))
+    assert summary["path_tokens"] == sum(
+        len(seq) for a in plan.analyzed
+        for seq in pipeline._contract_corpus(a)) > 0
 
 
 def test_cli_detect_on_a_non_utf8_index_name_is_one_error_line(

@@ -8,7 +8,7 @@ import pytest
 from deltascan.cfg import analyze_contract, enumerate_paths
 from deltascan.encoder import (EmbeddingConfig, load_vocabulary,
                                save_vocabulary, train_vocabulary)
-from deltascan.encoder.vocab import TOKEN_BYTES, _add_rows, _window_pairs
+from deltascan.encoder.vocab import TOKEN_BYTES, _window_pairs
 from deltascan.errors import CorruptFile, EmptyCorpus
 from deltascan.evm import BYTE_MNEMONICS
 from fixtures import make_corpus, token_bytes
@@ -146,24 +146,26 @@ def test_load_rejects_an_unknown_mnemonic(tmp_path):
         load_vocabulary(path)
 
 
-def _vocab_digest(vocab) -> str:
-    digest = hashlib.sha256()
-    for token in sorted(vocab.vectors):
-        digest.update(token.encode() + b"\0" + vocab.vectors[token].tobytes())
+def _token_digest(vocab) -> str:
+    digest = hashlib.sha256("\0".join(vocab.vectors).encode())
     digest.update(vocab.training_corpus_hash)
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("count, prefix, largest", [
-    (3, "a917984304442546", 0.56),      # converges
-    (10, "e32c97b9d4a12462", 1.6e6),    # diverges, still finite
-    (40, "4933eb789bb30d45", None),     # every weight NaN
-])
-def test_vocabulary_digest_is_pinned(count, prefix, largest, config):
-    """Golden bits of the vocabulary trained on the paths of
-    make_corpus(count). Past about 2000 path tokens the trainer diverges,
-    and on diverged weights any change of rounding or summation order
-    changes the vocabulary; a change to the trainer's numerics must update
+@pytest.mark.parametrize("count, prefix, largest, trace, quadratic", [
+    (3, "53523b6747a0b632", 2.19, 66.7617544, 83.3999165),
+    (10, "5f2feb7beb962cbb", 1.86, 65.3552055, 85.6898968),
+    (40, "dfaaa056ce608c33", 2.01, 66.1259745, 85.621704),
+], ids=["make_corpus3", "make_corpus10", "make_corpus40"])
+def test_vocabulary_digest_is_pinned(count, prefix, largest, trace, quadratic,
+                                     config):
+    """Golden values of the vocabulary trained on the paths of
+    make_corpus(count): a digest of its tokens in order and of its corpus
+    hash, its largest element, and the trace and one seeded quadratic form
+    of the Gram matrix W W^T. The Gram matrix does not depend on the basis
+    or the signs the SVD picks, and a LAPACK build that rounds differently
+    moves it by about 1e-7, so the float bits are not pinned. A change to
+    the numerics (the counts, the PMI, the smoothing, W + C) must update
     these pins on purpose."""
     corpus = []
     for _, _, code in make_corpus(count, seed=7):
@@ -171,42 +173,59 @@ def test_vocabulary_digest_is_pinned(count, prefix, largest, config):
             corpus += [token_bytes([ins.opcode.mnemonic for bid in path.blocks
                                     for ins in fn.blocks[bid].instructions])
                        for path in enumerate_paths(fn).paths]
-    with np.errstate(all="ignore"):
-        vocab = train_vocabulary(corpus, config)
-    weights = np.stack(list(vocab.vectors.values()))
-    if largest is None:
-        assert np.isnan(weights).all()
-    else:
-        np.testing.assert_allclose(np.abs(weights).max(), largest, rtol=0.02)
-    assert _vocab_digest(vocab)[:16] == prefix
+    vocab = train_vocabulary(corpus, config)
+    assert _token_digest(vocab)[:16] == prefix
+    words = np.stack(list(vocab.vectors.values())).astype(np.float64)
+    np.testing.assert_allclose(np.abs(words).max(), largest, rtol=0.02)
+    gram = words @ words.T
+    probe = np.random.default_rng(0).random(len(gram))
+    np.testing.assert_allclose([np.trace(gram), probe @ gram @ probe],
+                               [trace, quadratic], rtol=1e-6)
 
 
-@pytest.mark.parametrize("case", ["duplicates", "magnitudes", "one-row",
-                                  "nan-payloads"])
-def test_add_rows_matches_add_at_bits(case):
-    rng = np.random.default_rng(11)
-    rows, dim = 40, 64
-    if case == "one-row":          # one row hit 6144 times, the rest never
-        index = np.full(6144, 7)
-    else:                          # few rows take most hits; 25..39 never
-        index = rng.choice(25, size=6144, p=np.arange(25, 0, -1) / 325)
-    values = rng.standard_normal((index.size, dim)).astype(np.float32)
-    w = rng.standard_normal((rows, dim)).astype(np.float32)
-    if case == "magnitudes":       # 1e-3 .. 1e9, so the order of sums shows
-        values *= np.float32(10.0) ** rng.integers(-3, 10, values.shape)
-        w *= np.float32(1e9)
-    if case == "nan-payloads":     # NaNs of two payloads meet
-        nans = np.uint32([0x7FC00001, 0xFFC00002]).view(np.float32)
-        values[::3] = nans[0]
-        w[::2] = nans[1]
-    expected = w.copy()
-    np.add.at(expected, index, values)
-    _add_rows(w, index, lambda sel: values[sel])
-    if case == "nan-payloads":     # which NaN survives may differ
-        nan = np.isnan(expected)
-        assert (np.isnan(w) == nan).all()
-        w[nan] = expected[nan] = 0
-    assert w.tobytes() == expected.tobytes()
+def test_vectors_factorise_the_ppmi_matrix(config):
+    """The word plus context vectors W + C of the SVD M = U S V^T of the
+    PPMI matrix M have the Gram matrix U S U^T + V S V^T + M + M^T =
+    sqrt(M M^T) + sqrt(M^T M) + M + M^T, whatever basis the SVD picks for
+    equal singular values. M is built here pair by pair, and the square
+    roots come from eigendecompositions, not from an SVD. Each column's
+    largest-magnitude entry is positive, and the columns past the rank are
+    zero."""
+    rng = np.random.default_rng(5)
+    names = ["PUSH1", "ADD", "MLOAD", "SSTORE", "CALLER", "EQ", "JUMPI",
+             "STOP"]
+    corpus = [token_bytes([names[i] for i in rng.integers(0, 8, size=n)])
+              for n in rng.integers(1, 30, size=40)]
+    vocab = train_vocabulary(corpus, config)
+    tokens = sorted(vocab.vectors)
+    pairs = {}
+    for seq in corpus:
+        words = [BYTE_MNEMONICS[b] for b in seq]
+        for i, center in enumerate(words):
+            for j in range(max(0, i - config.window),
+                           min(len(words), i + config.window + 1)):
+                if j != i:
+                    key = (center, words[j])
+                    pairs[key] = pairs.get(key, 0) + 1
+    rows = {t: sum(n for (w, _), n in pairs.items() if w == t)
+            for t in tokens}
+    smoothed = {t: sum(n for (_, c), n in pairs.items() if c == t) ** 0.75
+                for t in tokens}
+    total = sum(smoothed.values())
+    m = np.array([[max(0.0, np.log(pairs[(w, c)] * total
+                                   / (rows[w] * smoothed[c])))
+                   if (w, c) in pairs else 0.0 for c in tokens]
+                  for w in tokens])
+
+    def sqrt_psd(a):
+        values, vectors = np.linalg.eigh(a)
+        return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    expected = sqrt_psd(m @ m.T) + sqrt_psd(m.T @ m) + m + m.T
+    words = np.stack([vocab.vectors[t] for t in tokens]).astype(np.float64)
+    np.testing.assert_allclose(words @ words.T, expected, atol=1e-4)
+    assert not words[:, len(tokens):].any()
+    largest = words[np.abs(words).argmax(axis=0), np.arange(words.shape[1])]
+    assert (largest[:len(tokens)] > 0).all()
 
 
 def test_window_pairs_match_nested_loop():
